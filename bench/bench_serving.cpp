@@ -1,117 +1,29 @@
-// Serving-layer benchmark, two parts:
+// Serving-layer benchmark: every registered SimilarityIndex backend
+// served through the identical QueryEngine code path, with
+// per-backend throughput and latency percentiles — the
+// apples-to-apples comparison the unified index API exists for.  The
+// bench exits non-zero if any backend returns a short batch.
 //
-//  1. persistent-pool QueryEngine batching vs the seed's spawn-per-call
-//     host loop on the FPGA simulator backend ("legacy" reproduces the
-//     seed's TopKAccelerator::query_batch exactly: spawn `t`
-//     std::threads per call, split the batch into static contiguous
-//     blocks, join, repeat for every batch).  Both must produce
-//     bit-identical top-k lists; the bench exits non-zero if they ever
-//     disagree.
+//   $ ./bench_serving [--full] [--quick] [--queries=N] [--seed=N]
+//                     [--threads=N] [--backend=NAME[,NAME...]]
 //
-//  2. a cross-backend serving sweep: every registered SimilarityIndex
-//     backend served through the identical QueryEngine code path, with
-//     per-backend throughput and latency percentiles — the
-//     apples-to-apples comparison the unified index API exists for.
-//
-//   $ ./bench_serving [--full] [--queries=N] [--seed=N] [--threads=N]
-//                     [--backend=NAME]
-//
-// --threads pins the sweep to a single thread count (0 = sweep
-// {1,2,4,8}); --queries overrides the per-batch-size query count;
-// --backend restricts part 2 to one backend (and skips part 1 unless
-// it is fpga-sim).
-#include <algorithm>
-#include <cstdlib>
+// --threads sets the engine's worker count (default 8); --queries
+// overrides the query count; --backend restricts the sweep.
+#include <cstdint>
 #include <iostream>
 #include <memory>
-#include <span>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/accelerator.hpp"
-#include "index/backends.hpp"
 #include "index/registry.hpp"
 #include "serve/query_engine.hpp"
 #include "sparse/generator.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace {
-
-using topk::core::TopKAccelerator;
-
-/// One query exactly as the seed executed it: every core stream runs
-/// the float-span kernel entry point, which re-derives the quantised
-/// raws per core instead of sharing one conversion.
-topk::core::QueryResult legacy_query(const TopKAccelerator& accelerator,
-                                     std::span<const float> x, int top_k) {
-  const auto& streams = accelerator.core_streams();
-  std::vector<topk::core::KernelResult> per_core(streams.size());
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    per_core[i] =
-        run_topk_spmv(streams[i], x, accelerator.config().k,
-                      accelerator.config().rows_per_packet);
-  }
-  topk::core::QueryResult out;
-  std::vector<std::vector<topk::core::TopKEntry>> candidates;
-  candidates.reserve(per_core.size());
-  for (auto& result : per_core) {
-    out.stats.total_packets += result.stats.packets;
-    out.stats.max_core_packets =
-        std::max(out.stats.max_core_packets, result.stats.packets);
-    out.stats.rows_dropped += result.stats.rows_dropped;
-    out.stats.rows_emitted += result.stats.rows_emitted;
-    out.stats.max_rows_in_packet =
-        std::max(out.stats.max_rows_in_packet, result.stats.max_rows_in_packet);
-    candidates.push_back(std::move(result.topk));
-  }
-  out.entries = topk::core::merge_partition_results(
-      candidates, accelerator.partitions(), top_k);
-  return out;
-}
-
-/// The seed's spawn-per-call batch loop, kept verbatim as the baseline:
-/// `threads` std::threads spawned and joined per call, static blocks.
-std::vector<topk::core::QueryResult> legacy_query_batch(
-    const TopKAccelerator& accelerator,
-    const std::vector<std::vector<float>>& queries, int top_k, int threads) {
-  std::vector<topk::core::QueryResult> results(queries.size());
-  const auto run_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      results[i] = legacy_query(accelerator, queries[i], top_k);
-    }
-  };
-  if (threads <= 1) {
-    run_range(0, queries.size());
-    return results;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    const std::size_t begin = queries.size() * t / threads;
-    const std::size_t end = queries.size() * (t + 1) / threads;
-    workers.emplace_back([&, begin, end] { run_range(begin, end); });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  return results;
-}
-
-bool same_results(const std::vector<topk::core::QueryResult>& legacy,
-                  const std::vector<topk::index::QueryResult>& engine) {
-  if (legacy.size() != engine.size()) {
-    return false;
-  }
-  for (std::size_t q = 0; q < legacy.size(); ++q) {
-    if (legacy[q].entries != engine[q].entries) {
-      return false;
-    }
-  }
-  return true;
-}
 
 std::vector<std::vector<float>> make_queries(int count, std::uint32_t cols,
                                              std::uint64_t seed) {
@@ -145,126 +57,11 @@ int main(int argc, char** argv) {
   std::cout << "Serving bench: " << matrix->rows() << " rows, "
             << matrix->nnz() << " nnz, top-" << kTopK << "\n\n";
 
-  const std::vector<int> thread_sweep =
-      args.threads > 0 ? std::vector<int>{args.threads}
-                       : std::vector<int>{1, 2, 4, 8};
-  bool all_identical = true;
+  const int workers = args.threads > 0 ? args.threads : 8;
+  bool all_complete = true;
 
-  // The device image is the expensive setup step; build it once and
-  // share it between the legacy comparison and the backend sweep.
-  std::shared_ptr<const topk::index::FpgaSimIndex> fpga_index;
-  if (std::find(backends.begin(), backends.end(), "fpga-sim") !=
-      backends.end()) {
-    fpga_index =
-        std::make_shared<const topk::index::FpgaSimIndex>(matrix, design);
-  }
-
-  // ---- Part 1: engine vs the seed's spawn-per-call loop (fpga-sim) ----
-  if (fpga_index) {
-    const TopKAccelerator& accelerator = fpga_index->accelerator();
-    const std::vector<int> batch_sweep{8, 32, 128};
-
-    topk::util::TablePrinter table({"Threads", "Batch", "Legacy q/s",
-                                    "Engine q/s", "Speedup",
-                                    "Engine p99 (ms)"});
-    double legacy_seconds_at_max = 0.0;
-    double engine_seconds_at_max = 0.0;
-
-    for (const int threads : thread_sweep) {
-      for (const int batch_size : batch_sweep) {
-        const int total_queries =
-            args.queries > 0 ? args.queries : std::max(2 * batch_size, 64);
-        const auto queries = make_queries(total_queries, 512, args.seed + 7);
-        std::vector<std::vector<std::vector<float>>> batches;
-        for (int begin = 0; begin < total_queries; begin += batch_size) {
-          const int end = std::min(begin + batch_size, total_queries);
-          batches.emplace_back(queries.begin() + begin, queries.begin() + end);
-        }
-
-        topk::serve::QueryEngine engine(fpga_index, {.workers = threads});
-
-        // Warm-up (page in the streams, spin up pool workers), then
-        // alternate legacy/engine repetitions and keep each side's best
-        // time — interleaving cancels drift, best-of-N cancels noise.
-        // reset_latency() afterwards keeps warm-up out of the p99.
-        (void)legacy_query_batch(accelerator, batches.front(), kTopK, threads);
-        (void)engine.query_batch(batches.front(), kTopK);
-        engine.reset_latency();
-
-        constexpr int kReps = 3;
-        double legacy_seconds = 0.0;
-        double engine_seconds = 0.0;
-        std::vector<topk::core::QueryResult> legacy_results;
-        std::vector<topk::index::QueryResult> engine_results;
-        for (int rep = 0; rep < kReps; ++rep) {
-          legacy_results.clear();
-          topk::util::WallTimer legacy_timer;
-          for (const auto& batch : batches) {
-            auto part = legacy_query_batch(accelerator, batch, kTopK, threads);
-            legacy_results.insert(legacy_results.end(),
-                                  std::make_move_iterator(part.begin()),
-                                  std::make_move_iterator(part.end()));
-          }
-          const double legacy_rep = legacy_timer.seconds();
-          legacy_seconds =
-              rep == 0 ? legacy_rep : std::min(legacy_seconds, legacy_rep);
-
-          engine_results.clear();
-          topk::util::WallTimer engine_timer;
-          for (const auto& batch : batches) {
-            auto part = engine.query_batch(batch, kTopK);
-            engine_results.insert(engine_results.end(),
-                                  std::make_move_iterator(part.begin()),
-                                  std::make_move_iterator(part.end()));
-          }
-          const double engine_rep = engine_timer.seconds();
-          engine_seconds =
-              rep == 0 ? engine_rep : std::min(engine_seconds, engine_rep);
-        }
-
-        if (!same_results(legacy_results, engine_results)) {
-          std::cerr << "FAIL: engine results differ from legacy at " << threads
-                    << " threads, batch " << batch_size << "\n";
-          all_identical = false;
-        }
-
-        const double legacy_qps = total_queries / legacy_seconds;
-        const double engine_qps = total_queries / engine_seconds;
-        if (threads == thread_sweep.back()) {
-          legacy_seconds_at_max += legacy_seconds;
-          engine_seconds_at_max += engine_seconds;
-        }
-        table.add_row({std::to_string(threads), std::to_string(batch_size),
-                       topk::util::format_double(legacy_qps, 1),
-                       topk::util::format_double(engine_qps, 1),
-                       topk::util::format_double(engine_qps / legacy_qps, 2) +
-                           "x",
-                       topk::util::format_double(
-                           engine.latency_summary().p99_ms, 2)});
-      }
-    }
-    table.print(std::cout);
-
-    std::cout << "\nResults bit-identical across legacy/engine and all "
-                 "thread counts: "
-              << (all_identical ? "yes" : "NO") << "\n";
-    // Aggregate over the batch sweep at the highest thread count — the
-    // acceptance comparison (engine >= spawn-per-call at 8 threads).
-    const double aggregate_speedup =
-        legacy_seconds_at_max / engine_seconds_at_max;
-    std::cout << "Engine vs legacy aggregate at " << thread_sweep.back()
-              << " threads: "
-              << topk::util::format_double(aggregate_speedup, 3) << "x ("
-              << (aggregate_speedup >= 1.0
-                      ? "engine >= legacy"
-                      : "legacy faster; noise-prone on few cores, rerun "
-                        "with --queries=256")
-              << ")\n\n";
-  }
-
-  // ---- Part 2: every registered backend through the same engine ----
-  std::cout << "Cross-backend serving (engine batch path, "
-            << thread_sweep.back() << " workers):\n";
+  std::cout << "Cross-backend serving (engine batch path, " << workers
+            << " workers):\n";
   const int serve_queries = args.queries > 0 ? args.queries : 48;
   const auto queries = make_queries(serve_queries, 512, args.seed + 11);
 
@@ -274,12 +71,8 @@ int main(int argc, char** argv) {
     topk::index::IndexOptions options;
     options.design = design;
     const std::shared_ptr<const topk::index::SimilarityIndex> index =
-        name == "fpga-sim" && fpga_index
-            ? fpga_index
-            : std::shared_ptr<const topk::index::SimilarityIndex>(
-                  topk::index::make_index(name, matrix, options));
-    topk::serve::QueryEngine engine(index,
-                                    {.workers = thread_sweep.back()});
+        topk::index::make_index(name, matrix, options);
+    topk::serve::QueryEngine engine(index, {.workers = workers});
 
     (void)engine.query_batch({queries.front()}, kTopK);  // warm-up
     engine.reset_latency();
@@ -288,7 +81,7 @@ int main(int argc, char** argv) {
     const double seconds = timer.seconds();
     if (results.size() != queries.size()) {
       std::cerr << "FAIL: short batch from " << name << "\n";
-      all_identical = false;
+      all_complete = false;
     }
 
     const auto latency = engine.latency_summary();
@@ -304,5 +97,5 @@ int main(int argc, char** argv) {
   backend_table.print(std::cout);
   std::cout << "\nEvery backend served through the identical QueryEngine "
                "code path; latency digests are directly comparable.\n";
-  return all_identical ? 0 : 1;
+  return all_complete ? 0 : 1;
 }

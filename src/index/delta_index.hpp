@@ -15,9 +15,9 @@
 // scan() is the query-path entry: the top-k live delta rows (global
 // ids, repo-wide topk_entry_before order) plus the sorted set of base
 // ids the sealed tier must mask (tombstoned, inherited, or superseded
-// by a delta version) — exactly the two inputs
-// shard::ShardedIndex::query_with_delta merges through the k-way
-// gather.  snapshot() gives the compactor a consistent copy to fold
+// by a delta version) — exactly the two fields of the
+// shard::ShardedIndex::DeltaOverlay that the sealed tier's one scatter
+// path merges through the k-way gather.  snapshot() gives the compactor a consistent copy to fold
 // off the serving path; every version carries a sequence number so the
 // swap can split off the residual mutations that arrived while the
 // fold ran.

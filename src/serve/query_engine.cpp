@@ -193,8 +193,13 @@ std::vector<index::QueryResult> QueryEngine::query_batch(
 }
 
 std::future<index::QueryResult> QueryEngine::launch_async(
-    std::vector<float> x, int top_k, std::uint64_t trace_id,
-    double enqueued_seconds) {
+    std::vector<float> x, int top_k) {
+  // The trace is rooted at admission: the queue-wait span starts here,
+  // before the task reaches a pool thread.
+  const bool traced = telemetry::tracer().enabled();
+  const std::uint64_t trace_id =
+      traced ? telemetry::tracer().mint_trace_id() : 0;
+  const double enqueued_seconds = traced ? telemetry::now_seconds() : 0.0;
   auto promise = std::make_shared<std::promise<index::QueryResult>>();
   std::future<index::QueryResult> future = promise->get_future();
   util::shared_pool().post([this, promise, x = std::move(x), top_k, trace_id,
@@ -260,13 +265,7 @@ std::future<index::QueryResult> QueryEngine::submit(std::vector<float> x,
     queue_depth_metric().set(static_cast<double>(pending_));
     queue_peak_metric().track_max(static_cast<double>(peak_pending_));
   }
-  // The trace is rooted at admission: the queue-wait span starts here,
-  // before the task reaches a pool thread.
-  const bool traced = telemetry::tracer().enabled();
-  const std::uint64_t trace_id =
-      traced ? telemetry::tracer().mint_trace_id() : 0;
-  const double enqueued = traced ? telemetry::now_seconds() : 0.0;
-  return launch_async(std::move(x), top_k, trace_id, enqueued);
+  return launch_async(std::move(x), top_k);
 }
 
 std::optional<std::future<index::QueryResult>> QueryEngine::try_submit(
@@ -285,11 +284,7 @@ std::optional<std::future<index::QueryResult>> QueryEngine::try_submit(
     queue_depth_metric().set(static_cast<double>(pending_));
     queue_peak_metric().track_max(static_cast<double>(peak_pending_));
   }
-  const bool traced = telemetry::tracer().enabled();
-  const std::uint64_t trace_id =
-      traced ? telemetry::tracer().mint_trace_id() : 0;
-  const double enqueued = traced ? telemetry::now_seconds() : 0.0;
-  return launch_async(std::move(x), top_k, trace_id, enqueued);
+  return launch_async(std::move(x), top_k);
 }
 
 std::size_t QueryEngine::pending() const {

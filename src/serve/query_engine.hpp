@@ -178,12 +178,11 @@ class QueryEngine {
 
  private:
   void record_latency(double millis) const;
-  /// Executes one admitted async request on a pool thread and settles
-  /// its promise; `trace_id`/`enqueued_seconds` carry the span context
-  /// minted at admission (0 when tracing was off).
-  std::future<index::QueryResult> launch_async(std::vector<float> x, int top_k,
-                                               std::uint64_t trace_id,
-                                               double enqueued_seconds);
+  /// The shared tail of submit() and try_submit(): mints the trace id
+  /// and enqueue stamp of one admitted request (0 when tracing is off),
+  /// then executes it on a pool thread and settles its promise.
+  std::future<index::QueryResult> launch_async(std::vector<float> x,
+                                               int top_k);
 
   std::shared_ptr<const index::SimilarityIndex> index_;
   std::shared_ptr<index::MutableIndex> mutable_;

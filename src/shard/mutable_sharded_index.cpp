@@ -121,31 +121,25 @@ index::QueryResult MutableShardedIndex::query(
     std::span<const float> x, int top_k,
     const index::QueryOptions& options) const {
   validate_query(x, top_k);
-  // One state copy per query: the generation serving this query stays
-  // alive (shared_ptr) across the scan + scatter even if a compaction
-  // swaps mid-flight, and the scan + overlay come from the same
-  // delta, so the query sees one consistent logical matrix.
-  const auto state = current_state();
-  index::DeltaIndex::Scan scan;
-  {
-    telemetry::SpanTimer span("delta-scan", "mutable");
-    scan = state->delta->scan(x, top_k);
-    if (span.active()) {
-      span.add_arg(telemetry::arg("scanned",
-                                  static_cast<std::uint64_t>(scan.scanned)));
-      span.add_arg(telemetry::arg(
-          "masked", static_cast<std::uint64_t>(scan.masked.size())));
-    }
-  }
-  const ShardedIndex::DeltaOverlay overlay{scan.entries, scan.masked};
-  return annotate(state->base->query_with_delta(x, top_k, overlay, options),
-                  *state, scan);
+  return std::move(serve({&x, 1}, top_k, options).front());
 }
 
 std::vector<index::QueryResult> MutableShardedIndex::query_batch(
     const std::vector<std::vector<float>>& queries, int top_k,
     const index::QueryOptions& options) const {
   validate_batch(queries, top_k);
+  const std::vector<std::span<const float>> views(queries.begin(),
+                                                  queries.end());
+  return serve(views, top_k, options);
+}
+
+std::vector<index::QueryResult> MutableShardedIndex::serve(
+    std::span<const std::span<const float>> queries, int top_k,
+    const index::QueryOptions& options) const {
+  // One state copy per call: the generation serving these queries
+  // stays alive (shared_ptr) across the scan + scatter even if a
+  // compaction swaps mid-flight, and the scans + overlays come from
+  // the same delta, so every query sees one consistent logical matrix.
   const auto state = current_state();
   std::vector<index::DeltaIndex::Scan> scans;
   scans.reserve(queries.size());
@@ -153,18 +147,24 @@ std::vector<index::QueryResult> MutableShardedIndex::query_batch(
   overlays.reserve(queries.size());
   {
     telemetry::SpanTimer span("delta-scan", "mutable");
-    for (const auto& x : queries) {
+    std::uint64_t scanned = 0;
+    std::uint64_t masked = 0;
+    for (const std::span<const float> x : queries) {
       scans.push_back(state->delta->scan(x, top_k));
       overlays.push_back(ShardedIndex::DeltaOverlay{scans.back().entries,
                                                     scans.back().masked});
+      scanned += scans.back().scanned;
+      masked += static_cast<std::uint64_t>(scans.back().masked.size());
     }
     if (span.active()) {
       span.add_arg(telemetry::arg("queries",
                                   static_cast<std::uint64_t>(queries.size())));
+      span.add_arg(telemetry::arg("scanned", scanned));
+      span.add_arg(telemetry::arg("masked", masked));
     }
   }
   std::vector<index::QueryResult> results =
-      state->base->query_batch_with_delta(queries, top_k, overlays, options);
+      state->base->query_with_delta(queries, top_k, overlays, options);
   for (std::size_t q = 0; q < results.size(); ++q) {
     results[q] = annotate(std::move(results[q]), *state, scans[q]);
   }

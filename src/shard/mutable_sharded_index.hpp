@@ -2,8 +2,9 @@
 // base with an in-memory index::DeltaIndex absorbing mutations.
 //
 // Queries scan the delta (exact, brute-force) and hand the scan to the
-// sealed base as a ShardedIndex::DeltaOverlay: delta candidates join
-// the deterministic k-way gather as one more source, and tombstoned /
+// sealed base's one scatter path (ShardedIndex::query_with_delta) as
+// a ShardedIndex::DeltaOverlay: delta candidates join the
+// deterministic k-way gather as one more source, and tombstoned /
 // superseded / inherited base rows are masked before the Top-K cut —
 // so every post-mutation result is bit-identical to an exact index
 // built cold from the logically-equivalent matrix (the live rows in
@@ -187,6 +188,12 @@ class MutableShardedIndex final : public index::MutableIndex {
   };
 
   [[nodiscard]] std::shared_ptr<const State> current_state() const;
+  /// The one query path behind query and query_batch: scans the delta
+  /// of one State copy per query, hands the scans to the sealed base
+  /// as overlays, then annotates each result.  Queries are validated.
+  [[nodiscard]] std::vector<index::QueryResult> serve(
+      std::span<const std::span<const float>> queries, int top_k,
+      const index::QueryOptions& options) const;
   [[nodiscard]] index::QueryResult annotate(
       index::QueryResult result, const State& state,
       const index::DeltaIndex::Scan& scan) const;

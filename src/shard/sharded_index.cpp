@@ -359,7 +359,7 @@ ShardedIndex::ShardCall ShardedIndex::query_shard(std::size_t s,
 
 index::QueryResult ShardedIndex::gather(std::span<const ShardCall> per_shard,
                                         int top_k,
-                                        const DeltaOverlay* overlay) const {
+                                        const DeltaOverlay& overlay) const {
   telemetry::SpanTimer span("gather", "shard");
   index::QueryResult out;
   index::ShardStats gathered;
@@ -387,10 +387,8 @@ index::QueryResult ShardedIndex::gather(std::span<const ShardCall> per_shard,
     gathered.gathered_candidates +=
         static_cast<std::uint64_t>(per_shard[s].result.entries.size());
   }
-  if (overlay != nullptr) {
-    gathered.gathered_candidates +=
-        static_cast<std::uint64_t>(overlay->entries.size());
-  }
+  gathered.gathered_candidates +=
+      static_cast<std::uint64_t>(overlay.entries.size());
   gather_candidates_metric().add(gathered.gathered_candidates);
   if (slowest_seconds >= 0.0) {
     slowest_metric().set(slowest_seconds);
@@ -416,7 +414,7 @@ index::QueryResult ShardedIndex::gather(std::span<const ShardCall> per_shard,
   const std::size_t delta_source = per_shard.size();
   const auto source_entries = [&](std::size_t source) {
     return source == delta_source
-               ? overlay->entries
+               ? overlay.entries
                : std::span<const core::TopKEntry>(
                      per_shard[source].result.entries);
   };
@@ -434,10 +432,9 @@ index::QueryResult ShardedIndex::gather(std::span<const ShardCall> per_shard,
       heap_after);
   const auto push_head = [&](Head head) {
     const std::size_t size = source_entries(head.shard).size();
-    if (overlay != nullptr && head.shard != delta_source) {
+    if (head.shard != delta_source) {
       while (head.pos < size &&
-             std::binary_search(overlay->masked.begin(),
-                                overlay->masked.end(),
+             std::binary_search(overlay.masked.begin(), overlay.masked.end(),
                                 global_entry(head).index)) {
         ++head.pos;
       }
@@ -446,11 +443,9 @@ index::QueryResult ShardedIndex::gather(std::span<const ShardCall> per_shard,
       heads.push(head);
     }
   };
-  for (std::size_t s = 0; s < per_shard.size(); ++s) {
-    push_head(Head{s, 0});
-  }
-  if (overlay != nullptr) {
-    push_head(Head{delta_source, 0});
+  // The overlay is the last source; an empty one never enters.
+  for (std::size_t source = 0; source <= delta_source; ++source) {
+    push_head(Head{source, 0});
   }
   const auto wanted = static_cast<std::uint64_t>(top_k);
   out.entries.reserve(static_cast<std::size_t>(
@@ -466,50 +461,49 @@ index::QueryResult ShardedIndex::gather(std::span<const ShardCall> per_shard,
   return out;
 }
 
-int ShardedIndex::inflated_top_k(int top_k, std::size_t masked) {
-  const std::uint64_t wanted =
-      static_cast<std::uint64_t>(top_k) + static_cast<std::uint64_t>(masked);
-  return static_cast<int>(std::min<std::uint64_t>(
-      wanted,
-      static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
-}
-
 index::QueryResult ShardedIndex::query(std::span<const float> x, int top_k,
                                        const index::QueryOptions& options) const {
   validate_query(x, top_k);
-  const int threads = index::resolve_fanout_threads(options.threads, shards_.size());
-
-  std::vector<ShardCall> per_shard(shards_.size());
-  {
-    // Pool threads have their own (empty) trace context: capture the
-    // caller's id before the fan-out and re-establish it per lambda so
-    // every cell span lands on this query's trace.
-    const std::uint64_t trace = telemetry::current_trace_id();
-    telemetry::SpanTimer span("scatter", "shard");
-    if (threads <= 1) {
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        per_shard[s] = query_shard(s, x, top_k);
-      }
-    } else {
-      util::ThreadPool& pool = util::shared_pool();
-      pool.ensure_workers(threads - 1);
-      pool.parallel_for(shards_.size(), threads, [&, trace](std::size_t s) {
-        telemetry::TraceContextScope scope(trace);
-        per_shard[s] = query_shard(s, x, top_k);
-      });
-    }
-  }
-  return gather(per_shard, top_k);
+  return std::move(scatter({&x, 1}, top_k, {}, options).front());
 }
 
 std::vector<index::QueryResult> ShardedIndex::query_batch(
     const std::vector<std::vector<float>>& queries, int top_k,
     const index::QueryOptions& options) const {
   validate_batch(queries, top_k);
+  const std::vector<std::span<const float>> views(queries.begin(),
+                                                  queries.end());
+  return scatter(views, top_k, {}, options);
+}
+
+std::vector<index::QueryResult> ShardedIndex::query_with_delta(
+    std::span<const std::span<const float>> queries, int top_k,
+    std::span<const DeltaOverlay> overlays,
+    const index::QueryOptions& options) const {
+  for (const std::span<const float> x : queries) {
+    validate_query(x, top_k);
+  }
+  if (!overlays.empty() && overlays.size() != queries.size()) {
+    throw std::invalid_argument(label_ + ": " + std::to_string(queries.size()) +
+                                " queries but " +
+                                std::to_string(overlays.size()) +
+                                " delta overlays");
+  }
+  return scatter(queries, top_k, overlays, options);
+}
+
+std::vector<index::QueryResult> ShardedIndex::scatter(
+    std::span<const std::span<const float>> queries, int top_k,
+    std::span<const DeltaOverlay> overlays,
+    const index::QueryOptions& options) const {
   std::vector<index::QueryResult> results(queries.size());
   if (queries.empty()) {
     return results;
   }
+  const DeltaOverlay sealed{};
+  const auto overlay_of = [&](std::size_t q) -> const DeltaOverlay& {
+    return overlays.empty() ? sealed : overlays[q];
+  };
 
   // Scatter the full (query, shard) grid: with more workers than
   // queries the shards of a single query still run in parallel, and
@@ -518,88 +512,28 @@ std::vector<index::QueryResult> ShardedIndex::query_batch(
   const std::size_t grid = queries.size() * width;
   const int threads = index::resolve_fanout_threads(options.threads, grid);
   std::vector<ShardCall> partial(grid);
-  const std::uint64_t trace = telemetry::current_trace_id();
-  const auto run_cell = [&, trace](std::size_t cell) {
-    telemetry::TraceContextScope scope(trace);
-    partial[cell] = query_shard(cell % width, queries[cell / width], top_k);
-  };
-  {
-    telemetry::SpanTimer span("scatter", "shard");
-    if (span.active()) {
-      span.add_arg(telemetry::arg("grid", static_cast<std::uint64_t>(grid)));
-    }
-    if (threads <= 1) {
-      for (std::size_t cell = 0; cell < grid; ++cell) {
-        run_cell(cell);
-      }
-    } else {
-      util::ThreadPool& pool = util::shared_pool();
-      pool.ensure_workers(threads - 1);
-      pool.parallel_for(grid, threads, run_cell);
-    }
-  }
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    results[q] = gather({partial.data() + q * width, width}, top_k);
-  }
-  return results;
-}
-
-index::QueryResult ShardedIndex::query_with_delta(
-    std::span<const float> x, int top_k, const DeltaOverlay& overlay,
-    const index::QueryOptions& options) const {
-  validate_query(x, top_k);
-  // Each shard is over-asked by the mask size: at most masked.size()
-  // of its top entries can be skipped at the merge, so >= top_k live
-  // candidates survive per shard and the global cut is exact.
-  const int shard_k = inflated_top_k(top_k, overlay.masked.size());
-  const int threads =
-      index::resolve_fanout_threads(options.threads, shards_.size());
-  std::vector<ShardCall> per_shard(shards_.size());
-  {
-    const std::uint64_t trace = telemetry::current_trace_id();
-    telemetry::SpanTimer span("scatter", "shard");
-    if (threads <= 1) {
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        per_shard[s] = query_shard(s, x, shard_k);
-      }
-    } else {
-      util::ThreadPool& pool = util::shared_pool();
-      pool.ensure_workers(threads - 1);
-      pool.parallel_for(shards_.size(), threads, [&, trace](std::size_t s) {
-        telemetry::TraceContextScope scope(trace);
-        per_shard[s] = query_shard(s, x, shard_k);
-      });
-    }
-  }
-  return gather(per_shard, top_k, &overlay);
-}
-
-std::vector<index::QueryResult> ShardedIndex::query_batch_with_delta(
-    const std::vector<std::vector<float>>& queries, int top_k,
-    std::span<const DeltaOverlay> overlays,
-    const index::QueryOptions& options) const {
-  validate_batch(queries, top_k);
-  if (overlays.size() != queries.size()) {
-    throw std::invalid_argument(label_ + ": " + std::to_string(queries.size()) +
-                                " queries but " +
-                                std::to_string(overlays.size()) +
-                                " delta overlays");
-  }
-  std::vector<index::QueryResult> results(queries.size());
-  if (queries.empty()) {
-    return results;
-  }
-  const std::size_t width = shards_.size();
-  const std::size_t grid = queries.size() * width;
-  const int threads = index::resolve_fanout_threads(options.threads, grid);
-  std::vector<ShardCall> partial(grid);
+  // Pool threads have their own (empty) trace context: capture the
+  // caller's id before the fan-out and re-establish it per cell so
+  // every cell span lands on the caller's trace.
   const std::uint64_t trace = telemetry::current_trace_id();
   const auto run_cell = [&, trace](std::size_t cell) {
     telemetry::TraceContextScope scope(trace);
     const std::size_t q = cell / width;
-    partial[cell] = query_shard(
-        cell % width, queries[q],
-        inflated_top_k(top_k, overlays[q].masked.size()));
+    const std::size_t s = cell % width;
+    // Over-ask the shard by the masked ids in its own row range: at
+    // most that many of its top entries can be skipped at the merge,
+    // so >= top_k live candidates survive per shard and the global cut
+    // is exact.  Saturates on int.
+    const std::span<const std::uint32_t> masked = overlay_of(q).masked;
+    const auto first = std::lower_bound(masked.begin(), masked.end(),
+                                        shards_[s].range.row_begin);
+    const auto last =
+        std::lower_bound(first, masked.end(), shards_[s].range.row_end);
+    const int shard_k = static_cast<int>(std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(top_k) +
+            static_cast<std::uint64_t>(last - first),
+        static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
+    partial[cell] = query_shard(s, queries[q], shard_k);
   };
   {
     telemetry::SpanTimer span("scatter", "shard");
@@ -618,7 +552,7 @@ std::vector<index::QueryResult> ShardedIndex::query_batch_with_delta(
   }
   for (std::size_t q = 0; q < queries.size(); ++q) {
     results[q] =
-        gather({partial.data() + q * width, width}, top_k, &overlays[q]);
+        gather({partial.data() + q * width, width}, top_k, overlay_of(q));
   }
   return results;
 }

@@ -110,6 +110,7 @@ class ShardedIndex final : public index::SimilarityIndex {
                         std::string backend_label = "sharded",
                         RoutingPolicy routing = RoutingPolicy::kLeastLoaded);
 
+  /// One query through the grid scatter below: a grid one query wide.
   [[nodiscard]] index::QueryResult query(
       std::span<const float> x, int top_k,
       const index::QueryOptions& options = {}) const override;
@@ -124,7 +125,8 @@ class ShardedIndex final : public index::SimilarityIndex {
 
   /// What the mutable tier's delta scan contributes to one query: the
   /// candidates to merge alongside the sealed shards and the base rows
-  /// to hide from them (see index::DeltaIndex::scan).
+  /// to hide from them (see index::DeltaIndex::scan).  A default
+  /// (empty) overlay is a sealed query.
   struct DeltaOverlay {
     /// Top-k live delta rows (GLOBAL ids, sorted by
     /// core::topk_entry_before) — one extra source in the k-way merge,
@@ -135,23 +137,19 @@ class ShardedIndex final : public index::SimilarityIndex {
     std::span<const std::uint32_t> masked;
   };
 
-  /// query() with a delta overlay merged through the same
-  /// deterministic gather.  Every shard is asked for
-  /// top_k + masked.size() candidates (at most masked.size() of any
-  /// shard's top entries can be masked away, so the merge always has
+  /// The batch scatter with one delta overlay per query (or none: an
+  /// empty `overlays` is query_batch()).  Shard s is asked for
+  /// top_k + |masked ∩ its row range| candidates (at most that many of
+  /// its top entries can be masked away, so the merge always has
   /// >= top_k live base candidates in reach), masked ids are skipped
   /// as the per-shard heads advance, and the overlay entries compete
-  /// as one more sorted source — so the result is bit-identical to a
+  /// as one more sorted source — so each result is bit-identical to a
   /// cold rebuild of the logically-equivalent matrix queried through
-  /// the same shard plan.
-  [[nodiscard]] index::QueryResult query_with_delta(
-      std::span<const float> x, int top_k, const DeltaOverlay& overlay,
-      const index::QueryOptions& options = {}) const;
-
-  /// Batch variant of query_with_delta: one overlay per query, the
-  /// (query, shard) grid scattered like query_batch.
-  [[nodiscard]] std::vector<index::QueryResult> query_batch_with_delta(
-      const std::vector<std::vector<float>>& queries, int top_k,
+  /// the same shard plan.  Throws std::invalid_argument when a query
+  /// or top_k is invalid, or the overlay count is neither 0 nor
+  /// queries.size().
+  [[nodiscard]] std::vector<index::QueryResult> query_with_delta(
+      std::span<const std::span<const float>> queries, int top_k,
       std::span<const DeltaOverlay> overlays,
       const index::QueryOptions& options = {}) const;
 
@@ -240,19 +238,25 @@ class ShardedIndex final : public index::SimilarityIndex {
                                       std::span<const float> x,
                                       int top_k) const;
 
+  /// The one scatter path behind query, query_batch and
+  /// query_with_delta: claims the (query, shard) grid dynamically from
+  /// the shared pool, then gathers each query in input order.
+  /// `overlays` is empty (sealed) or holds one overlay per query; the
+  /// caller has validated the queries and the overlay count.
+  [[nodiscard]] std::vector<index::QueryResult> scatter(
+      std::span<const std::span<const float>> queries, int top_k,
+      std::span<const DeltaOverlay> overlays,
+      const index::QueryOptions& options) const;
+
   /// Deterministic k-way heap merge of per-shard results (local ids)
   /// into one global result, aggregating stats; slowest_shard falls
   /// back to the measured wall time when a shard reports no modelled
-  /// time, so the signal is live for every backend.  With an overlay,
-  /// masked global ids are skipped as the shard heads advance and the
-  /// overlay entries join the merge as one extra pre-sorted source.
-  [[nodiscard]] index::QueryResult gather(
-      std::span<const ShardCall> per_shard, int top_k,
-      const DeltaOverlay* overlay = nullptr) const;
-
-  /// Per-shard candidate request for a query with `masked` hidden base
-  /// rows: top_k + masked, saturating on int.
-  [[nodiscard]] static int inflated_top_k(int top_k, std::size_t masked);
+  /// time, so the signal is live for every backend.  Masked global ids
+  /// are skipped as the shard heads advance and the overlay entries
+  /// join the merge as one extra pre-sorted source.
+  [[nodiscard]] index::QueryResult gather(std::span<const ShardCall> per_shard,
+                                          int top_k,
+                                          const DeltaOverlay& overlay) const;
 
   std::vector<Shard> shards_;
   std::string label_;

@@ -8,6 +8,7 @@
 // logically-equivalent matrix (the live rows in ascending id order).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -399,6 +400,42 @@ TEST_F(MutableIndexTest, TopKBeyondLiveRowsReturnsExactlyTheLiveRows) {
   ASSERT_TRUE(compactor.compact().has_value());
   EXPECT_EQ(handles.index->query(x, 20).entries, result.entries);
   expect_matches_oracle(*handles.index, model, 20, 99, "folded survivors");
+}
+
+TEST_F(MutableIndexTest, ShardsAreOverAskedOnlyByTheirOwnMaskedRows) {
+  // 30 deletes, all in shard 0, against top_k = 10: shard 0 must be
+  // asked for top_k + 30 candidates to stay exact, but the other
+  // shards lose nothing at the merge and are asked for top_k alone.
+  const auto matrix = shared_matrix(400, 32, 5.0, 110);
+  auto handles = build_mutable(matrix, "exact-sort", 4, 1);
+  LogicalModel model(*matrix);
+  const auto base = handles.typed->base();
+  const core::Partition first = base->shard(0).range;
+  ASSERT_GT(first.rows(), 30u);
+  for (std::uint32_t id = first.row_begin; id < first.row_begin + 30; ++id) {
+    EXPECT_TRUE(handles.mut->delete_row(id));
+    model.erase(id);
+  }
+  constexpr int kTopK = 10;
+  expect_matches_oracle(*handles.index, model, kTopK, 111, "shard-0 deletes");
+
+  util::Xoshiro256 rng(112);
+  const std::vector<std::vector<float>> queries{
+      sparse::generate_dense_vector(32, rng),
+      sparse::generate_dense_vector(32, rng)};
+  auto results = handles.index->query_batch(queries, kTopK);
+  results.push_back(handles.index->query(queries[0], kTopK));
+  for (const index::QueryResult& result : results) {
+    const index::MutableTierStats* stats = index::mutable_stats(result);
+    ASSERT_NE(stats, nullptr);
+    std::uint64_t bound = stats->delta_candidates;
+    for (std::size_t s = 0; s < base->shard_count(); ++s) {
+      const std::uint64_t masked = s == 0 ? 30 : 0;
+      bound += std::min<std::uint64_t>(base->shard(s).range.rows(),
+                                       kTopK + masked);
+    }
+    EXPECT_LE(stats->shard.gathered_candidates, bound);
+  }
 }
 
 // -------------------------------------------------------- mutation edge cases

@@ -6,14 +6,17 @@
 #include <atomic>
 #include <future>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/accelerator.hpp"
 #include "index/backends.hpp"
 #include "index/registry.hpp"
 #include "serve/query_engine.hpp"
+#include "telemetry/metrics.hpp"
 #include "test_helpers.hpp"
 #include "util/cpu_features.hpp"
 #include "util/thread_pool.hpp"
@@ -129,6 +132,44 @@ class QueryEngineTest : public ::testing::Test {
   std::shared_ptr<const index::FpgaSimIndex> fpga_;
 };
 
+/// Delegates to an inner index, but every query first waits for
+/// open(): holds an engine's queue full for as long as a test needs.
+class GatedIndex final : public index::SimilarityIndex {
+ public:
+  explicit GatedIndex(std::shared_ptr<const index::SimilarityIndex> inner)
+      : inner_(std::move(inner)), gate_(opened_.get_future().share()) {}
+
+  void open() { opened_.set_value(); }
+
+  [[nodiscard]] index::QueryResult query(
+      std::span<const float> x, int top_k,
+      const index::QueryOptions& options = {}) const override {
+    gate_.wait();
+    return inner_->query(x, top_k, options);
+  }
+  [[nodiscard]] std::uint32_t rows() const noexcept override {
+    return inner_->rows();
+  }
+  [[nodiscard]] std::uint32_t cols() const noexcept override {
+    return inner_->cols();
+  }
+  [[nodiscard]] index::IndexDescription describe() const override {
+    return inner_->describe();
+  }
+  [[nodiscard]] int max_top_k() const noexcept override {
+    return inner_->max_top_k();
+  }
+
+ private:
+  std::shared_ptr<const index::SimilarityIndex> inner_;
+  std::promise<void> opened_;
+  std::shared_future<void> gate_;
+};
+
+std::uint64_t engine_rejections_metric() {
+  return telemetry::registry().counter("topk_engine_rejections_total").value();
+}
+
 TEST_F(QueryEngineTest, WorkerCountDoesNotChangeResults) {
   const auto queries = make_queries(6, 201);
   const index::QueryResult reference = fpga_->query(queries[0], 32);
@@ -222,6 +263,50 @@ TEST_F(QueryEngineTest, BoundedQueueBackpressureStillCompletesEverything) {
   for (auto& future : futures) {
     EXPECT_EQ(future.get().entries.size(), 8u);
   }
+}
+
+TEST_F(QueryEngineTest, TrySubmitOnAFullQueueReturnsNulloptAndCounts) {
+  const auto queries = make_queries(2, 208);
+  const auto gated = std::make_shared<GatedIndex>(fpga_);
+  QueryEngine engine(gated, {.workers = 2, .max_pending = 1});
+  const std::uint64_t metric_before = engine_rejections_metric();
+  auto admitted = engine.submit(queries[0], 8);  // parks on the gate
+  // EXPECT, not ASSERT, until the gate opens: an early return would
+  // leave the engine's destructor draining a request that never ends.
+  EXPECT_EQ(engine.pending(), 1u);
+  EXPECT_FALSE(engine.try_submit(queries[1], 8).has_value());
+  EXPECT_EQ(engine.stats().rejections, 1u);
+  EXPECT_EQ(engine_rejections_metric(), metric_before + 1);
+  gated->open();
+  EXPECT_EQ(admitted.get().entries.size(), 8u);
+}
+
+TEST_F(QueryEngineTest, TrySubmitResolvesBitIdenticallyToQuery) {
+  const auto queries = make_queries(4, 209);
+  QueryEngine engine(fpga_, {.workers = 2});
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    auto future = engine.try_submit(queries[q], 16);
+    ASSERT_TRUE(future.has_value()) << "query " << q;
+    EXPECT_EQ(future->get().entries, engine.query(queries[q], 16).entries)
+        << "query " << q;
+  }
+  EXPECT_EQ(engine.stats().rejections, 0u);
+}
+
+TEST_F(QueryEngineTest, TrySubmitAdmitsAgainAfterDrain) {
+  const auto queries = make_queries(2, 210);
+  const auto gated = std::make_shared<GatedIndex>(fpga_);
+  QueryEngine engine(gated, {.workers = 2, .max_pending = 1});
+  auto admitted = engine.try_submit(queries[0], 8);
+  EXPECT_TRUE(admitted.has_value());
+  EXPECT_FALSE(engine.try_submit(queries[1], 8).has_value());
+  gated->open();
+  engine.drain();
+  EXPECT_EQ(engine.pending(), 0u);
+  auto again = engine.try_submit(queries[1], 8);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->get().entries, engine.query(queries[1], 8).entries);
+  EXPECT_EQ(engine.stats().rejections, 1u);
 }
 
 TEST_F(QueryEngineTest, RejectsBadConfig) {

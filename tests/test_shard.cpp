@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -340,6 +341,27 @@ TEST(ShardedIndexTest, BatchPathMatchesPerQueryPath) {
     ASSERT_NE(index::shard_stats(batch[q]), nullptr) << "query " << q;
     EXPECT_EQ(index::shard_stats(batch[q])->shards, 4) << "query " << q;
   }
+
+  // The overlay entry is the same scatter: no overlays, or one empty
+  // overlay per query, serve exactly query()'s entries, and any other
+  // overlay count is rejected.
+  const std::vector<std::span<const float>> views(queries.begin(),
+                                                  queries.end());
+  const std::vector<ShardedIndex::DeltaOverlay> empty(queries.size());
+  for (const std::span<const ShardedIndex::DeltaOverlay> overlays :
+       {std::span<const ShardedIndex::DeltaOverlay>{},
+        std::span<const ShardedIndex::DeltaOverlay>(empty)}) {
+    const auto overlaid =
+        sharded->query_with_delta(views, 12, overlays, options);
+    ASSERT_EQ(overlaid.size(), queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(overlaid[q].entries, sharded->query(queries[q], 12).entries)
+          << overlays.size() << " overlays, query " << q;
+    }
+  }
+  EXPECT_THROW((void)sharded->query_with_delta(
+                   views, 12, std::span(empty).first(2), options),
+               std::invalid_argument);
 }
 
 TEST(ShardedIndexTest, CappedShardsClampAndSumMaxTopK) {
