@@ -3,11 +3,14 @@
 // the CPU baseline, quantisation, and the precision model.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "baselines/cpu_topk_spmv.hpp"
 #include "baselines/gpu_model.hpp"
 #include "core/accelerator.hpp"
 #include "core/precision_model.hpp"
 #include "fixed/half.hpp"
+#include "index/backends.hpp"
 #include "sparse/generator.hpp"
 #include "util/rng.hpp"
 
@@ -138,21 +141,21 @@ void BM_SignedKernel(benchmark::State& state) {
 BENCHMARK(BM_SignedKernel);
 
 void BM_QueryBatch(benchmark::State& state) {
-  const auto matrix = bench_matrix(10'000, 20.0);
-  const topk::core::TopKAccelerator accelerator(matrix,
-                                                DesignConfig::fixed(20, 8));
+  const auto matrix =
+      std::make_shared<const topk::sparse::Csr>(bench_matrix(10'000, 20.0));
+  const topk::index::FpgaSimIndex fpga(matrix, DesignConfig::fixed(20, 8));
   topk::util::Xoshiro256 rng(17);
   std::vector<std::vector<float>> queries;
   for (int q = 0; q < 8; ++q) {
-    queries.push_back(topk::sparse::generate_dense_vector(matrix.cols(), rng));
+    queries.push_back(topk::sparse::generate_dense_vector(matrix->cols(), rng));
   }
-  topk::core::QueryOptions options;
+  topk::index::QueryOptions options;
   options.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(accelerator.query_batch(queries, 32, options));
+    benchmark::DoNotOptimize(fpga.query_batch(queries, 32, options));
   }
   state.SetItemsProcessed(state.iterations() * 8 *
-                          static_cast<std::int64_t>(matrix.nnz()));
+                          static_cast<std::int64_t>(matrix->nnz()));
 }
 BENCHMARK(BM_QueryBatch)->Arg(1)->Arg(0);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/cpu_features.hpp"
 #include "util/thread_pool.hpp"
 
 namespace topk::baselines {
@@ -53,41 +52,23 @@ std::vector<core::TopKEntry> cpu_topk_spmv(const sparse::Csr& matrix,
   if (top_k <= 0) {
     throw std::invalid_argument("cpu_topk_spmv: top_k must be positive");
   }
-  if (threads < 0) {
-    throw std::invalid_argument("cpu_topk_spmv: negative thread count");
-  }
-  if (threads == 0) {
-    threads = util::default_thread_count();
-  }
-  // Clamp to the row count in uint32 space: converting rows() to int
-  // first overflowed to a negative thread count for rows >= 2^31
-  // (regression: CpuTopK.ThreadClampStaysPositive).  `threads` is
-  // positive here, so the round-trip through uint32 is lossless.
-  threads = static_cast<int>(std::min<std::uint32_t>(
-      static_cast<std::uint32_t>(threads),
-      std::max<std::uint32_t>(1, matrix.rows())));
+  threads = util::resolve_fanout_threads(threads, matrix.rows());
 
+  // Static row ranges (each range writes only its own heap slot, so
+  // results are deterministic), executed on the shared persistent pool
+  // — no per-call thread spawning, matching the serving tier's worker
+  // model.
+  const std::uint32_t rows = matrix.rows();
   std::vector<std::vector<core::TopKEntry>> heaps(
       static_cast<std::size_t>(threads));
-  if (threads == 1) {
-    scan_rows(matrix, x, 0, matrix.rows(), top_k, heaps[0]);
-  } else {
-    // Static row ranges (each range writes only its own heap slot, so
-    // results are deterministic), executed on the shared persistent
-    // pool — no per-call thread spawning, matching the serving tier's
-    // worker model.
-    const std::uint32_t rows = matrix.rows();
-    util::ThreadPool& pool = util::shared_pool();
-    pool.ensure_workers(threads - 1);
-    pool.parallel_for(
-        static_cast<std::size_t>(threads), threads, [&](std::size_t t) {
-          const std::uint32_t begin = static_cast<std::uint32_t>(
-              static_cast<std::uint64_t>(rows) * t / threads);
-          const std::uint32_t end = static_cast<std::uint32_t>(
-              static_cast<std::uint64_t>(rows) * (t + 1) / threads);
-          scan_rows(matrix, x, begin, end, top_k, heaps[t]);
-        });
-  }
+  util::shared_pool().parallel_for(
+      heaps.size(), threads, [&](std::size_t t) {
+        const std::uint32_t begin = static_cast<std::uint32_t>(
+            static_cast<std::uint64_t>(rows) * t / threads);
+        const std::uint32_t end = static_cast<std::uint32_t>(
+            static_cast<std::uint64_t>(rows) * (t + 1) / threads);
+        scan_rows(matrix, x, begin, end, top_k, heaps[t]);
+      });
 
   std::vector<core::TopKEntry> merged;
   for (const auto& heap : heaps) {

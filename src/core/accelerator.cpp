@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/cpu_features.hpp"
 #include "util/thread_pool.hpp"
 
 namespace topk::core {
@@ -90,30 +89,11 @@ TopKAccelerator TopKAccelerator::from_parts(const DesignConfig& config,
   return out;
 }
 
-namespace {
-
-int resolve_threads(int requested, std::size_t work_items) {
-  if (requested < 0) {
-    throw std::invalid_argument("QueryOptions: negative thread count");
-  }
-  int threads = requested;
-  if (threads == 0) {
-    threads = util::default_thread_count();
-  }
-  return static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(threads),
-                            std::max<std::size_t>(1, work_items)));
-}
-
-}  // namespace
-
-void TopKAccelerator::check_vector(std::span<const float> x) const {
+void TopKAccelerator::validate_query(std::span<const float> x,
+                                     int top_k) const {
   if (x.size() != cols_) {
     throw std::invalid_argument("TopKAccelerator: query vector size mismatch");
   }
-}
-
-void TopKAccelerator::check_top_k(int top_k) const {
   if (top_k <= 0) {
     throw std::invalid_argument("TopKAccelerator: top_k must be positive");
   }
@@ -125,16 +105,11 @@ void TopKAccelerator::check_top_k(int top_k) const {
   }
 }
 
-void TopKAccelerator::validate_query(std::span<const float> x,
-                                     int top_k) const {
-  check_vector(x);
-  check_top_k(top_k);
-}
-
 QueryResult TopKAccelerator::query(std::span<const float> x, int top_k,
                                    const QueryOptions& options) const {
   validate_query(x, top_k);
-  const int threads = resolve_threads(options.threads, streams_.size());
+  const int threads =
+      util::resolve_fanout_threads(options.threads, streams_.size());
 
   // Quantise the query once and stream every core with the same raws —
   // the per-query amortisation the hardware gets for free from its
@@ -143,12 +118,11 @@ QueryResult TopKAccelerator::query(std::span<const float> x, int top_k,
   const QuantizedQuery quantized =
       quantize_query(x, config_.value_kind, raw_storage);
 
-  // parallel_for runs inline on the calling thread when threads <= 1,
-  // so no separate sequential branch is needed.
+  // One core stream per item; parallel_for sizes the pool and runs
+  // inline on the calling thread when threads == 1.
   std::vector<KernelResult> per_core(streams_.size());
-  util::ThreadPool& pool = util::shared_pool();
-  pool.ensure_workers(threads - 1);
-  pool.parallel_for(streams_.size(), threads, [&](std::size_t i) {
+  util::shared_pool().parallel_for(per_core.size(), threads,
+                                   [&](std::size_t i) {
     per_core[i] = run_topk_spmv(streams_[i], quantized, config_.k,
                                 config_.rows_per_packet);
   });
@@ -171,35 +145,6 @@ QueryResult TopKAccelerator::query(std::span<const float> x, int top_k,
   out.entries = merge_partition_results(candidates_per_core, partitions_, top_k);
   out.stats = stats;
   return out;
-}
-
-void TopKAccelerator::validate_batch(
-    const std::vector<std::vector<float>>& queries, int top_k) const {
-  for (const auto& x : queries) {
-    check_vector(x);
-  }
-  check_top_k(top_k);
-}
-
-std::vector<QueryResult> TopKAccelerator::query_batch(
-    const std::vector<std::vector<float>>& queries, int top_k,
-    const QueryOptions& options) const {
-  std::vector<QueryResult> results(queries.size());
-  if (queries.empty()) {
-    return results;
-  }
-  const int threads = resolve_threads(options.threads, queries.size());
-  validate_batch(queries, top_k);  // so worker threads never throw
-
-  // Dynamic per-query scheduling on the shared pool: a worker claims
-  // the next unstarted query as soon as it finishes one, so one slow
-  // query no longer stalls a whole static block of the batch.
-  util::ThreadPool& pool = util::shared_pool();
-  pool.ensure_workers(threads - 1);
-  pool.parallel_for(queries.size(), threads, [&](std::size_t i) {
-    results[i] = query(queries[i], top_k);
-  });
-  return results;
 }
 
 std::uint64_t TopKAccelerator::stream_bytes() const noexcept {

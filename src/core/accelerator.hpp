@@ -81,25 +81,14 @@ class TopKAccelerator {
   [[nodiscard]] QueryResult query(std::span<const float> x, int top_k,
                                   const QueryOptions& options = {}) const;
 
-  /// Runs a batch of queries (each a cols()-sized vector), spreading
-  /// whole queries across `options.threads` workers — the throughput-
-  /// oriented host loop of a real-time retrieval service.  Results
-  /// align with the input order.  Throws like query().
-  [[nodiscard]] std::vector<QueryResult> query_batch(
-      const std::vector<std::vector<float>>& queries, int top_k,
-      const QueryOptions& options = {}) const;
-
   /// Validates one query without running anything: `x` must have
   /// cols() elements and top_k must lie in (0, k * cores].  Throws
-  /// std::invalid_argument otherwise.  query(), validate_batch() and
-  /// the index/serving adapters all funnel through this single check,
-  /// so the bounds — and the error messages — cannot drift apart.
+  /// std::invalid_argument otherwise; query() runs it first.  The
+  /// index adapter (index::FpgaSimIndex) validates through
+  /// SimilarityIndex::validate_query instead, against the same bound
+  /// (its max_top_k() is k * cores), and batches through the inherited
+  /// SimilarityIndex::query_batch.
   void validate_query(std::span<const float> x, int top_k) const;
-
-  /// Batch variant of validate_query(): every vector is checked
-  /// against cols() and top_k against (0, k * cores].
-  void validate_batch(const std::vector<std::vector<float>>& queries,
-                      int top_k) const;
 
   [[nodiscard]] const DesignConfig& config() const noexcept { return config_; }
   [[nodiscard]] const PacketLayout& layout() const noexcept { return layout_; }
@@ -120,9 +109,6 @@ class TopKAccelerator {
 
  private:
   TopKAccelerator() = default;  // for from_parts
-
-  void check_vector(std::span<const float> x) const;
-  void check_top_k(int top_k) const;
 
   DesignConfig config_;
   PacketLayout layout_;

@@ -1,6 +1,7 @@
 #include "index/delta_index.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -72,8 +73,12 @@ DeltaIndex::DeltaIndex(std::uint32_t base_rows, std::uint32_t next_id,
   if (next_id_ < base_rows_) {
     throw std::invalid_argument("DeltaIndex: next_id below base_rows");
   }
-  if (!std::is_sorted(inherited_.begin(), inherited_.end())) {
-    throw std::invalid_argument("DeltaIndex: inherited tombstones unsorted");
+  // Strictly increasing: deleted_ counts one per entry below, so a
+  // duplicate id would be counted as two deletions.
+  if (std::adjacent_find(inherited_.begin(), inherited_.end(),
+                         std::greater_equal<>()) != inherited_.end()) {
+    throw std::invalid_argument(
+        "DeltaIndex: inherited tombstones not strictly increasing");
   }
   if (!inherited_.empty() && inherited_.back() >= base_rows_) {
     throw std::invalid_argument(

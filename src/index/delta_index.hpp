@@ -81,11 +81,12 @@ class DeltaIndex final : public SimilarityIndex {
              std::uint64_t capacity);
 
   /// Post-compaction shape: the id space already extends to `next_id`
-  /// >= base_rows, `inherited` (sorted) carries the folded deletions,
-  /// and `versions` the residual mutations that arrived while the fold
-  /// ran (their seq values are preserved; `next_seq` continues the
-  /// generation's mutation clock).  Throws std::invalid_argument on an
-  /// out-of-range id or unsorted inherited list.
+  /// >= base_rows, `inherited` (strictly increasing) carries the folded
+  /// deletions, and `versions` the residual mutations that arrived
+  /// while the fold ran (their seq values are preserved; `next_seq`
+  /// continues the generation's mutation clock).  Throws
+  /// std::invalid_argument on an out-of-range id or an inherited list
+  /// that is unsorted or repeats an id.
   DeltaIndex(std::uint32_t base_rows, std::uint32_t next_id,
              std::uint32_t cols, std::uint64_t capacity,
              std::vector<std::uint32_t> inherited,

@@ -1,25 +1,10 @@
 #include "index/similarity_index.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "util/cpu_features.hpp"
 #include "util/thread_pool.hpp"
 
 namespace topk::index {
-
-int resolve_fanout_threads(int requested, std::size_t work_items) {
-  if (requested < 0) {
-    throw std::invalid_argument("QueryOptions: negative thread count");
-  }
-  int threads = requested;
-  if (threads == 0) {
-    threads = util::default_thread_count();
-  }
-  return static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(threads),
-                            std::max<std::size_t>(1, work_items)));
-}
 
 void SimilarityIndex::check_vector(std::span<const float> x) const {
   if (x.size() != cols()) {
@@ -62,17 +47,17 @@ std::vector<QueryResult> SimilarityIndex::query_batch(
     validate_batch(queries, top_k);
     return results;
   }
-  const int threads = resolve_fanout_threads(options.threads, queries.size());
+  const int threads =
+      util::resolve_fanout_threads(options.threads, queries.size());
   validate_batch(queries, top_k);  // so worker threads never throw
 
   // Whole queries are claimed dynamically from the shared persistent
   // pool; each runs its intra-query path sequentially (throughput over
   // latency, the real-time service host loop).
-  util::ThreadPool& pool = util::shared_pool();
-  pool.ensure_workers(threads - 1);
   QueryOptions per_query;
   per_query.threads = 1;
-  pool.parallel_for(queries.size(), threads, [&](std::size_t i) {
+  util::shared_pool().parallel_for(queries.size(), threads,
+                                   [&](std::size_t i) {
     results[i] = query(queries[i], top_k, per_query);
   });
   return results;

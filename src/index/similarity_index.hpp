@@ -200,13 +200,6 @@ struct IndexDescription {
   std::uint64_t memory_bytes = 0;
 };
 
-/// Resolves QueryOptions::threads into an actual fan-out: 0 means
-/// hardware concurrency, the result is clamped to `work_items`, and
-/// negative counts throw std::invalid_argument.  One definition shared
-/// by the default batch path and the sharded scatter so every backend
-/// interprets the option identically.
-[[nodiscard]] int resolve_fanout_threads(int requested, std::size_t work_items);
-
 /// Abstract Top-K similarity index over a fixed collection.
 ///
 /// Implementations are immutable after construction and

@@ -1,12 +1,12 @@
 #include "serve/query_engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
-#include "util/cpu_features.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -14,16 +14,6 @@
 namespace topk::serve {
 
 namespace {
-
-int resolve_workers(int requested) {
-  if (requested < 0) {
-    throw std::invalid_argument("EngineConfig: negative worker count");
-  }
-  if (requested == 0) {
-    return util::default_thread_count();
-  }
-  return requested;
-}
 
 // Registry handles resolve once per process (function-local statics);
 // the hot path below is one relaxed atomic op per event.
@@ -116,7 +106,10 @@ void ensure_pool_instrumented() {
 QueryEngine::QueryEngine(std::shared_ptr<const index::SimilarityIndex> index,
                          EngineConfig config)
     : index_(std::move(index)),
-      workers_(resolve_workers(config.workers)),
+      // Not clamped to any item count: the engine's width applies to
+      // every batch and query it serves.
+      workers_(util::resolve_fanout_threads(
+          config.workers, std::numeric_limits<std::size_t>::max())),
       max_pending_(config.max_pending),
       latency_window_size_(config.latency_window),
       latency_window_(config.latency_window == 0 ? 1 : config.latency_window) {
@@ -170,13 +163,9 @@ std::vector<index::QueryResult> QueryEngine::query_batch(
   // same latency capture as the sync and async paths.
   std::vector<index::QueryResult> results(queries.size());
   index_->validate_batch(queries, top_k);
-  if (queries.empty()) {
-    return results;
-  }
-  util::ThreadPool& pool = util::shared_pool();
-  pool.ensure_workers(workers_ - 1);
   const bool traced = telemetry::tracer().enabled();
-  pool.parallel_for(queries.size(), workers_, [&, traced](std::size_t i) {
+  util::shared_pool().parallel_for(queries.size(), workers_,
+                                   [&, traced](std::size_t i) {
     // Each batched query is its own trace root, same as a sync query.
     telemetry::TraceContextScope scope(
         traced ? telemetry::tracer().mint_trace_id() : 0);

@@ -79,7 +79,8 @@ class MutableShardedIndex final : public index::MutableIndex {
   /// (e.g. an fpga-sim warm load, whose quantised device image cannot
   /// reproduce the exact host values), in which case begin_compaction
   /// throws.  `inherited` seeds the delta's inherited-tombstone set
-  /// (sorted ids a previous generation folded away as empty rows).
+  /// (strictly increasing ids a previous generation folded away as
+  /// empty rows; anything else throws std::invalid_argument).
   MutableShardedIndex(std::shared_ptr<const ShardedIndex> base,
                       std::shared_ptr<const sparse::Csr> base_matrix,
                       RebuildRecipe recipe, MutableConfig config,

@@ -510,7 +510,7 @@ std::vector<index::QueryResult> ShardedIndex::scatter(
   // dynamic claiming keeps a slow shard from stalling a whole batch.
   const std::size_t width = shards_.size();
   const std::size_t grid = queries.size() * width;
-  const int threads = index::resolve_fanout_threads(options.threads, grid);
+  const int threads = util::resolve_fanout_threads(options.threads, grid);
   std::vector<ShardCall> partial(grid);
   // Pool threads have their own (empty) trace context: capture the
   // caller's id before the fan-out and re-establish it per cell so
@@ -540,15 +540,7 @@ std::vector<index::QueryResult> ShardedIndex::scatter(
     if (span.active()) {
       span.add_arg(telemetry::arg("grid", static_cast<std::uint64_t>(grid)));
     }
-    if (threads <= 1) {
-      for (std::size_t cell = 0; cell < grid; ++cell) {
-        run_cell(cell);
-      }
-    } else {
-      util::ThreadPool& pool = util::shared_pool();
-      pool.ensure_workers(threads - 1);
-      pool.parallel_for(grid, threads, run_cell);
-    }
+    util::shared_pool().parallel_for(grid, threads, run_cell);
   }
   for (std::size_t q = 0; q < queries.size(); ++q) {
     results[q] =

@@ -406,20 +406,6 @@ void screen_scan_range(const BlockedCsr& layout, const float* xpad,
   }
 }
 
-int resolve_threads(int threads, std::uint32_t rows) {
-  if (threads < 0) {
-    throw std::invalid_argument("simd::topk_spmv: negative thread count");
-  }
-  if (threads == 0) {
-    threads = util::default_thread_count();
-  }
-  // Clamped in uint32 space (see the cpu_topk_spmv regression: a
-  // uint32 row count cast to int first goes negative for >= 2^31).
-  return static_cast<int>(
-      std::min<std::uint32_t>(static_cast<std::uint32_t>(threads),
-                              std::max<std::uint32_t>(1, rows)));
-}
-
 IsaLevel resolve_level(const std::optional<IsaLevel>& forced) {
   if (!forced.has_value()) {
     return dispatch_level();
@@ -460,7 +446,8 @@ std::vector<core::TopKEntry> run_query(const BlockedCsr& layout,
         "binary16 screen is not covered by the rescore margins)");
   }
   const IsaLevel level = resolve_level(options.force_level);
-  const int threads = resolve_threads(options.threads, layout.rows());
+  const int threads =
+      util::resolve_fanout_threads(options.threads, layout.rows());
   const ScanFn scan = select_scan(layout, level);
   const std::vector<float> xpad = pad_query(x);
   // The query-side factor of the screening margin (see screen_bound()).
@@ -495,16 +482,9 @@ std::vector<core::TopKEntry> run_query(const BlockedCsr& layout,
                         outputs[t]);
     }
   };
-  if (threads == 1) {
-    scan_range(0);
-  } else {
-    // Static position ranges on the shared persistent pool, each
-    // writing only its own output slot — deterministic, like the
-    // scalar baseline.
-    util::ThreadPool& pool = util::shared_pool();
-    pool.ensure_workers(threads - 1);
-    pool.parallel_for(static_cast<std::size_t>(threads), threads, scan_range);
-  }
+  // Static position ranges on the shared persistent pool, each writing
+  // only its own output slot — deterministic, like the scalar baseline.
+  util::shared_pool().parallel_for(outputs.size(), threads, scan_range);
 
   std::vector<core::TopKEntry> merged;
   std::uint64_t rescored = 0;

@@ -37,8 +37,9 @@ struct CpuFeatures {
 
 /// std::thread::hardware_concurrency() with the standard's "0 =
 /// unknown" mapped to 1.  The one definition of the fallback every
-/// "threads = 0 means hardware" option resolves through — it used to
-/// be copy-pasted per call site, where the copies could drift.
+/// "threads = 0 means hardware" option resolves through, by way of
+/// util::resolve_fanout_threads (thread_pool.hpp) — it used to be
+/// copy-pasted per call site, where the copies could drift.
 /// tools/lint.py (-Wraw-hwconcurrency) forbids direct
 /// hardware_concurrency() calls outside util/.
 [[nodiscard]] int default_thread_count() noexcept;

@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "util/cpu_features.hpp"
 #include "util/sync.hpp"
 
 namespace topk::util {
@@ -98,14 +99,19 @@ int ThreadPool::workers() const {
   return static_cast<int>(threads_.size());
 }
 
+std::size_t ThreadPool::grow_locked(int target) {
+  const std::size_t before = threads_.size();
+  while (static_cast<int>(threads_.size()) < std::min(target, kMaxWorkers)) {
+    threads_.emplace_back([this] { worker_loop(); });
+  }
+  return threads_.size() == before ? 0 : threads_.size();
+}
+
 void ThreadPool::ensure_workers(int workers) {
-  const int target = std::min(workers, kMaxWorkers);
   std::size_t count = 0;
   {
     util::MutexLock lock(mutex_);
-    while (static_cast<int>(threads_.size()) < target) {
-      threads_.emplace_back([this] { worker_loop(); });
-    }
+    grow_locked(workers);
     count = threads_.size();
   }
   if (const PoolInstrumentation* h = hooks(); h != nullptr && h->workers) {
@@ -175,11 +181,13 @@ void ThreadPool::parallel_for(std::size_t n, int concurrency,
   job->n = n;
   job->fn = &fn;
 
-  int helpers = helper_budget;
+  std::size_t grown_to = 0;
   {
     util::MutexLock lock(mutex_);
-    helpers = std::min(helpers, static_cast<int>(threads_.size()));
     if (!stopping_) {
+      grown_to = grow_locked(helper_budget);
+      const int helpers =
+          std::min(helper_budget, static_cast<int>(threads_.size()));
       for (int h = 0; h < helpers; ++h) {
         tasks_.push_back([job] { job->run(); });
       }
@@ -189,6 +197,10 @@ void ThreadPool::parallel_for(std::size_t n, int concurrency,
         work_available_.notify_all();
       }
     }
+  }
+  if (const PoolInstrumentation* h = hooks();
+      grown_to != 0 && h != nullptr && h->workers) {
+    h->workers(static_cast<double>(grown_to));
   }
 
   job->run();  // caller participates: progress is guaranteed
@@ -205,6 +217,17 @@ void ThreadPool::parallel_for(std::size_t n, int concurrency,
 ThreadPool& shared_pool() {
   static ThreadPool pool(0);
   return pool;
+}
+
+int resolve_fanout_threads(int requested, std::size_t work_items) {
+  if (requested < 0) {
+    throw std::invalid_argument(
+        "resolve_fanout_threads: negative thread count");
+  }
+  const int threads = requested == 0 ? default_thread_count() : requested;
+  return static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(threads),
+                            std::max<std::size_t>(1, work_items)));
 }
 
 }  // namespace topk::util

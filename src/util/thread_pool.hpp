@@ -49,9 +49,10 @@ struct PoolInstrumentation {
 
 class ThreadPool {
  public:
-  /// Spawns `workers` persistent threads (0 is valid: every
-  /// parallel_for then runs entirely on the calling thread).
-  /// Throws std::invalid_argument for negative counts.
+  /// Spawns `workers` persistent threads.  0 is valid: the pool then
+  /// starts empty and grows on the first parallel_for that asks for
+  /// helpers (concurrency and item count both above 1).  Throws
+  /// std::invalid_argument for negative counts.
   explicit ThreadPool(int workers = 0);
 
   /// Drains queued tasks, then stops and joins all workers.
@@ -68,13 +69,16 @@ class ThreadPool {
   void ensure_workers(int workers);
 
   /// Runs fn(i) for every i in [0, n).  The calling thread participates
-  /// and up to `concurrency - 1` pool workers help, each claiming items
-  /// dynamically from a shared atomic counter; total concurrency is
-  /// therefore at most `concurrency` (values < 1 mean "calling thread
-  /// only").  Blocks until all n items finished; if any invocation
-  /// threw, the first exception is rethrown here.  Item-to-thread
-  /// assignment is nondeterministic, so callers must make fn(i) write
-  /// only to slot i of preallocated storage for deterministic results.
+  /// and up to min(n, concurrency) - 1 pool workers help, each claiming
+  /// items dynamically from a shared atomic counter; total concurrency
+  /// is therefore at most `concurrency` (values < 1 mean "calling
+  /// thread only", which runs inline without touching the pool's
+  /// lock).  The pool first grows to that helper count (clamped to
+  /// kMaxWorkers), so callers never size it themselves.  Blocks until
+  /// all n items finished; if any invocation threw, the first
+  /// exception is rethrown here.  Item-to-thread assignment is
+  /// nondeterministic, so callers must make fn(i) write only to slot i
+  /// of preallocated storage for deterministic results.
   void parallel_for(std::size_t n, int concurrency,
                     const std::function<void(std::size_t)>& fn);
 
@@ -90,11 +94,15 @@ class ThreadPool {
   /// events, never tears state.
   static void set_instrumentation(const PoolInstrumentation* hooks) noexcept;
 
-  /// Upper bound on pool size accepted by ensure_workers().
+  /// Upper bound on pool size (ensure_workers() and parallel_for()'s
+  /// growth both clamp to it).
   static constexpr int kMaxWorkers = 256;
 
  private:
   void worker_loop();
+  /// Spawns threads until the pool holds min(target, kMaxWorkers);
+  /// returns the new size if it grew, 0 otherwise.
+  std::size_t grow_locked(int target) TOPK_REQUIRES(mutex_);
 
   mutable util::Mutex mutex_;
   util::CondVar work_available_;
@@ -106,9 +114,21 @@ class ThreadPool {
   bool stopping_ TOPK_GUARDED_BY(mutex_) = false;
 };
 
-/// Process-wide pool shared by TopKAccelerator::query / query_batch and
-/// any QueryEngine that does not own a private pool.  Lazily
-/// constructed; grows on demand up to ThreadPool::kMaxWorkers.
+/// Process-wide pool every fan-out in the library runs on: the
+/// accelerator's core streams, the CPU and SIMD kernels' row ranges,
+/// the shard scatter, the default batch path and every QueryEngine.
+/// Lazily constructed; grows on demand up to ThreadPool::kMaxWorkers.
 [[nodiscard]] ThreadPool& shared_pool();
+
+/// Resolves a requested fan-out width into the concurrency one
+/// parallel_for over `work_items` items gets: 0 means
+/// default_thread_count(), and the result is clamped to
+/// max(1, work_items) in std::size_t space (a uint32 row count cast
+/// to int first goes negative for >= 2^31; regression:
+/// CpuTopK.ThreadClampStaysPositive).  Throws std::invalid_argument
+/// for negative counts.  The one definition of the thread-count rule:
+/// every tier's `threads` / `workers` option resolves through it.
+[[nodiscard]] int resolve_fanout_threads(int requested,
+                                         std::size_t work_items);
 
 }  // namespace topk::util

@@ -175,42 +175,34 @@ TEST(IndexValidationTest, UniformErrorsAcrossBackends) {
                std::invalid_argument);
 }
 
-TEST(IndexValidationTest, AcceleratorSingleAndBatchMessagesCannotDrift) {
-  // Satellite check: TopKAccelerator::query and validate_batch funnel
-  // through one validate_query, so the messages are identical.
+TEST(IndexValidationTest, FpgaSimSingleAndBatchMessagesCannotDrift) {
+  // fpga-sim's query and its inherited query_batch funnel through one
+  // SimilarityIndex::validate_query, so the messages are identical.
   const auto matrix = shared_matrix(300, 128, 8.0, 17);
-  const core::TopKAccelerator accelerator(*matrix,
-                                          core::DesignConfig::fixed(20, 4));
+  IndexOptions options;
+  options.design = core::DesignConfig::fixed(20, 4);
+  const auto fpga = make_index("fpga-sim", matrix, options);
+  const auto message_of = [](const auto& call) {
+    try {
+      call();
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string();
+  };
   const std::vector<float> wrong_size(5, 0.0f);
-  std::string single_message;
-  std::string batch_message;
-  try {
-    (void)accelerator.query(wrong_size, 10);
-  } catch (const std::invalid_argument& error) {
-    single_message = error.what();
-  }
-  try {
-    accelerator.validate_batch({wrong_size}, 10);
-  } catch (const std::invalid_argument& error) {
-    batch_message = error.what();
-  }
+  const std::string single_message =
+      message_of([&] { (void)fpga->query(wrong_size, 10); });
   ASSERT_FALSE(single_message.empty());
-  EXPECT_EQ(single_message, batch_message);
+  EXPECT_EQ(single_message,
+            message_of([&] { (void)fpga->query_batch({wrong_size}, 10); }));
 
-  std::string single_topk;
-  std::string batch_topk;
-  try {
-    (void)accelerator.query(std::vector<float>(128, 0.0f), 8 * 4 + 1);
-  } catch (const std::invalid_argument& error) {
-    single_topk = error.what();
-  }
-  try {
-    accelerator.validate_batch({std::vector<float>(128, 0.0f)}, 8 * 4 + 1);
-  } catch (const std::invalid_argument& error) {
-    batch_topk = error.what();
-  }
+  const std::vector<float> x(128, 0.0f);
+  const std::string single_topk =
+      message_of([&] { (void)fpga->query(x, 8 * 4 + 1); });
   ASSERT_FALSE(single_topk.empty());
-  EXPECT_EQ(single_topk, batch_topk);
+  EXPECT_EQ(single_topk,
+            message_of([&] { (void)fpga->query_batch({x}, 8 * 4 + 1); }));
 }
 
 // -------------------------------------------------- stats extension payloads

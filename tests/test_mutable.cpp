@@ -288,6 +288,22 @@ TEST(DeltaIndexTest, RejectsMalformedRowsAndEnforcesCapacity) {
   EXPECT_EQ(delta.append_row(ok_cols, ok_vals), 4u);
 }
 
+TEST(DeltaIndexTest, InheritedTombstonesMustBeStrictlyIncreasing) {
+  // The post-compaction constructor counts one deletion per inherited
+  // entry, so a repeated id used to count twice ({3, 3} over 10 base
+  // rows read 2 tombstones and 8 live rows); it is now rejected, like
+  // an unsorted list.
+  const auto make = [](std::vector<std::uint32_t> inherited) {
+    return index::DeltaIndex(10, 10, 8, 0, std::move(inherited), {}, 0);
+  };
+  EXPECT_THROW((void)make({3, 3}), std::invalid_argument);
+  EXPECT_THROW((void)make({1, 4, 4, 7}), std::invalid_argument);
+  EXPECT_THROW((void)make({5, 3}), std::invalid_argument);
+  const index::DeltaIndex delta = make({3, 5});
+  EXPECT_EQ(delta.tombstones(), 2u);
+  EXPECT_EQ(delta.live_rows(), 8u);
+}
+
 // ------------------------------------------------ the bit-identicality gate
 
 class MutableIndexTest : public test::TempDirFixture {};

@@ -3,8 +3,10 @@
 // index::SimilarityIndex.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -105,6 +107,46 @@ TEST(ThreadPoolTest, EnsureWorkersGrowsButNeverShrinks) {
   EXPECT_EQ(pool.workers(), 3);
   pool.ensure_workers(2);
   EXPECT_EQ(pool.workers(), 3);
+}
+
+TEST(ThreadPoolTest, ParallelForGrowsThePoolToItsHelperBudget) {
+  // A zero-worker pool sizes itself: concurrency 3 over 8 items asks
+  // for 2 helpers, so the pool ends with exactly 2 workers.
+  util::ThreadPool pool(0);
+  std::vector<std::atomic<int>> hits(8);
+  pool.parallel_for(8, 3, [&](std::size_t i) { ++hits[i]; });
+  EXPECT_EQ(pool.workers(), 2);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+  // A narrower call never shrinks it; concurrency 1 stays inline.
+  pool.parallel_for(8, 1, [](std::size_t) {});
+  EXPECT_EQ(pool.workers(), 2);
+}
+
+TEST(ThreadPoolTest, ResolveFanoutThreadsIsTheOneThreadCountRule) {
+  // Pure function only: no pool is started at these counts.
+  EXPECT_THROW((void)util::resolve_fanout_threads(-1, 8),
+               std::invalid_argument);
+  EXPECT_THROW((void)util::resolve_fanout_threads(
+                   std::numeric_limits<int>::min(), 8),
+               std::invalid_argument);
+  // 0 = hardware concurrency, clamped to the work items.
+  const int hardware = util::default_thread_count();
+  EXPECT_EQ(util::resolve_fanout_threads(0, 1'000'000), hardware);
+  EXPECT_EQ(util::resolve_fanout_threads(0, 2), std::min(hardware, 2));
+  EXPECT_EQ(util::resolve_fanout_threads(0, 1), 1);
+  // No work still leaves the calling thread.
+  EXPECT_EQ(util::resolve_fanout_threads(0, 0), 1);
+  EXPECT_EQ(util::resolve_fanout_threads(5, 0), 1);
+  EXPECT_EQ(util::resolve_fanout_threads(3, 8), 3);
+  // INT_MAX clamps to the items without wrapping, however large.
+  const int max = std::numeric_limits<int>::max();
+  EXPECT_EQ(util::resolve_fanout_threads(max, 37), 37);
+  EXPECT_EQ(util::resolve_fanout_threads(max, std::size_t{1} << 32), max);
+  EXPECT_EQ(util::resolve_fanout_threads(
+                max, std::numeric_limits<std::size_t>::max()),
+            max);
 }
 
 // -------------------------------------------------------------- QueryEngine
