@@ -38,11 +38,9 @@ void validate_recommendation(const topk::hbmsim::WorkloadGoal& goal,
   const auto matrix = std::make_shared<const topk::sparse::Csr>(
       topk::sparse::generate_matrix(generator));
 
-  const auto advised = topk::index::IndexBuilder()
-                           .backend("fpga-sim")
-                           .matrix(matrix)
-                           .design(design)
-                           .build();
+  topk::index::IndexOptions options;
+  options.design = design;
+  const auto advised = topk::index::make_index("fpga-sim", matrix, options);
   const auto exact = topk::index::make_index("exact-sort", matrix);
   const int top_k = std::min(goal.top_k, advised->max_top_k());
 

@@ -293,12 +293,11 @@ int run_mutate_demo(int replicas) {
   generator.seed = 24;
   const topk::sparse::Csr appended = topk::sparse::generate_matrix(generator);
 
-  const auto index = topk::index::IndexBuilder()
-                         .backend("mutable-sharded-cpu-heap")
-                         .matrix(matrix)
-                         .shards(4)
-                         .replicas(replicas)
-                         .build();
+  topk::index::IndexOptions options;
+  options.shards = 4;
+  options.replicas = replicas;
+  const auto index =
+      topk::index::make_index("mutable-sharded-cpu-heap", matrix, options);
   const auto mut = topk::index::as_mutable(index);
   const auto typed =
       std::dynamic_pointer_cast<topk::shard::MutableShardedIndex>(index);

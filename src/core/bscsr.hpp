@@ -141,8 +141,6 @@ class PacketCursor {
   /// (non-monotone boundaries) and std::out_of_range past the end.
   [[nodiscard]] PacketView next();
 
-  [[nodiscard]] std::uint64_t packets_read() const noexcept { return next_packet_; }
-
  private:
   const BsCsrMatrix* matrix_;
   std::uint64_t next_packet_ = 0;

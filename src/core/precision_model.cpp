@@ -67,16 +67,6 @@ double expected_precision_closed(std::uint64_t rows, int partitions, int k,
   return std::min(1.0, retrieved / static_cast<double>(top_k));
 }
 
-double expected_precision_averaged(std::uint64_t rows, int partitions, int k,
-                                   int top_k) {
-  check_args(rows, partitions, k, top_k);
-  double sum = 0.0;
-  for (int ki = 1; ki <= top_k; ++ki) {
-    sum += expected_precision_closed(rows, partitions, k, ki);
-  }
-  return sum / static_cast<double>(top_k);
-}
-
 double expected_precision_mc(std::uint64_t rows, int partitions, int k,
                              int top_k, int trials,
                              util::Xoshiro256& rng) {

@@ -24,12 +24,6 @@ namespace topk::core {
 [[nodiscard]] double expected_precision_closed(std::uint64_t rows, int partitions,
                                                int k, int top_k);
 
-/// Paper-style estimate averaged over Ki = 1..K (the form printed as
-/// Equation 1 averages the per-K precision over all prefixes).
-[[nodiscard]] double expected_precision_averaged(std::uint64_t rows,
-                                                 int partitions, int k,
-                                                 int top_k);
-
 /// Monte Carlo estimate: `trials` random assignments of the top_k
 /// global rows to partitions (multinomial with the exact floor/ceil
 /// partition sizes), averaging sum_i min(count_i, k) / K.

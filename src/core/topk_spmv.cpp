@@ -28,20 +28,6 @@ void TopKScratchpad::insert(std::uint32_t index, double value) {
   }
 }
 
-double TopKScratchpad::worst() const noexcept {
-  if (entries_.empty()) {
-    return 0.0;
-  }
-  if (entries_.size() < static_cast<std::size_t>(k_)) {
-    double w = entries_[0].value;
-    for (const TopKEntry& e : entries_) {
-      w = std::min(w, e.value);
-    }
-    return w;
-  }
-  return entries_[argmin_].value;
-}
-
 void TopKScratchpad::refresh_argmin() noexcept {
   argmin_ = 0;
   for (std::size_t i = 1; i < entries_.size(); ++i) {

@@ -79,9 +79,6 @@ class TopKScratchpad {
   [[nodiscard]] int capacity() const noexcept { return k_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
-  /// Current minimum tracked value (0 when empty).
-  [[nodiscard]] double worst() const noexcept;
-
   /// Extracts entries sorted by descending value (ties by ascending
   /// row index for determinism).
   [[nodiscard]] std::vector<TopKEntry> sorted_descending() const;

@@ -5,10 +5,6 @@
 
 namespace topk::fixed {
 
-double FixedFormat::resolution() const noexcept {
-  return std::ldexp(1.0, -frac_bits());
-}
-
 void validate(const FixedFormat& format) {
   if (format.total_bits < 2 || format.total_bits > 32) {
     throw std::invalid_argument("FixedFormat: total_bits must be in [2, 32]");

@@ -6,8 +6,6 @@
 // integer products accumulated into a wide fixed accumulator; Top-K
 // comparisons happen on accumulator raws.  This header provides:
 //
-//  * UFixed<TotalBits, IntBits> — compile-time format, used by tests
-//    and by code that wants a concrete type;
 //  * FixedFormat / quantize / dequantize — runtime-V quantisation used
 //    by the BS-CSR encoder (V is a design parameter swept by benches);
 //  * FixedAccumulator — the Q24.40 accumulator used by the streaming
@@ -45,8 +43,6 @@ struct FixedFormat {
     return total_bits >= 32 ? 0xFFFFFFFFu
                             : ((std::uint32_t{1} << total_bits) - 1);
   }
-  /// Resolution (value of one LSB).
-  [[nodiscard]] double resolution() const noexcept;
 
   friend constexpr bool operator==(const FixedFormat&, const FixedFormat&) = default;
 };
@@ -123,71 +119,6 @@ class FixedAccumulator {
 
  private:
   std::uint64_t raw_ = 0;
-};
-
-/// Compile-time unsigned fixed point Q(IntBits).(TotalBits-IntBits).
-/// Addition and multiplication saturate at the representable maximum,
-/// matching Vitis HLS ap_ufixed<.., AP_RND, AP_SAT> behaviour for the
-/// configurations the paper uses.
-template <int TotalBits, int IntBits = 1>
-class UFixed {
-  static_assert(TotalBits >= 2 && TotalBits <= 32, "TotalBits must be in [2, 32]");
-  static_assert(IntBits >= 0 && IntBits < TotalBits, "IntBits must be in [0, TotalBits)");
-
- public:
-  static constexpr int kTotalBits = TotalBits;
-  static constexpr int kIntBits = IntBits;
-  static constexpr int kFracBits = TotalBits - IntBits;
-
-  constexpr UFixed() noexcept = default;
-
-  [[nodiscard]] static constexpr FixedFormat format() noexcept {
-    return FixedFormat{TotalBits, IntBits};
-  }
-
-  [[nodiscard]] static UFixed from_double(double value) noexcept {
-    return from_raw(quantize(value, format()));
-  }
-
-  [[nodiscard]] static constexpr UFixed from_raw(std::uint32_t raw) noexcept {
-    UFixed out;
-    out.raw_ = raw & mask();
-    return out;
-  }
-
-  [[nodiscard]] constexpr std::uint32_t raw() const noexcept { return raw_; }
-
-  [[nodiscard]] double to_double() const noexcept {
-    return dequantize(raw_, format());
-  }
-
-  /// Saturating addition.
-  friend constexpr UFixed operator+(UFixed a, UFixed b) noexcept {
-    const std::uint64_t sum =
-        static_cast<std::uint64_t>(a.raw_) + static_cast<std::uint64_t>(b.raw_);
-    return from_raw(sum > mask() ? mask() : static_cast<std::uint32_t>(sum));
-  }
-
-  /// Saturating multiplication with truncation of low bits (hardware
-  /// multiplier followed by a right shift).
-  friend constexpr UFixed operator*(UFixed a, UFixed b) noexcept {
-    const std::uint64_t product =
-        static_cast<std::uint64_t>(a.raw_) * static_cast<std::uint64_t>(b.raw_);
-    const std::uint64_t shifted = product >> kFracBits;
-    return from_raw(shifted > mask() ? mask() : static_cast<std::uint32_t>(shifted));
-  }
-
-  friend constexpr auto operator<=>(UFixed a, UFixed b) noexcept {
-    return a.raw_ <=> b.raw_;
-  }
-  friend constexpr bool operator==(UFixed, UFixed) noexcept = default;
-
- private:
-  [[nodiscard]] static constexpr std::uint32_t mask() noexcept {
-    return TotalBits >= 32 ? 0xFFFFFFFFu : ((std::uint32_t{1} << TotalBits) - 1);
-  }
-
-  std::uint32_t raw_ = 0;
 };
 
 /// The three fixed-point formats evaluated in the paper (Table II).

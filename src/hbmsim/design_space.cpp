@@ -62,6 +62,9 @@ OperatingPoint evaluate_design(const core::DesignConfig& design,
   return point;
 }
 
+namespace {
+
+/// Every point of the default grid, feasible or not.
 std::vector<OperatingPoint> enumerate_design_space(const WorkloadGoal& goal,
                                                    const BoardProfile& board) {
   validate(goal);
@@ -91,8 +94,6 @@ std::vector<OperatingPoint> enumerate_design_space(const WorkloadGoal& goal,
   }
   return points;
 }
-
-namespace {
 
 std::vector<OperatingPoint> feasible_points(const WorkloadGoal& goal,
                                             const BoardProfile& board) {
@@ -141,26 +142,6 @@ OperatingPoint recommend_cheapest(const WorkloadGoal& goal,
                              }
                              return a.modelled_seconds < b.modelled_seconds;
                            });
-}
-
-std::vector<OperatingPoint> pareto_front(std::vector<OperatingPoint> points) {
-  std::erase_if(points, [](const OperatingPoint& p) { return !p.fits; });
-  std::sort(points.begin(), points.end(),
-            [](const OperatingPoint& a, const OperatingPoint& b) {
-              if (a.modelled_seconds != b.modelled_seconds) {
-                return a.modelled_seconds < b.modelled_seconds;
-              }
-              return a.expected_precision > b.expected_precision;
-            });
-  std::vector<OperatingPoint> front;
-  double best_precision = -1.0;
-  for (const OperatingPoint& point : points) {
-    if (point.expected_precision > best_precision) {
-      front.push_back(point);
-      best_precision = point.expected_precision;
-    }
-  }
-  return front;
 }
 
 }  // namespace topk::hbmsim

@@ -12,8 +12,7 @@
 //   * recommend_fastest(goal, board): minimum modelled latency subject
 //     to a precision floor and board feasibility;
 //   * recommend_cheapest(goal, board): minimum modelled power subject
-//     to the same constraints (the "smaller cards" scenario);
-//   * pareto_front(points): latency/precision-optimal subset.
+//     to the same constraints (the "smaller cards" scenario).
 #pragma once
 
 #include <cstdint>
@@ -63,15 +62,11 @@ void validate(const WorkloadGoal& goal);
                                              const WorkloadGoal& goal,
                                              const BoardProfile& board);
 
-/// Enumerates the default grid: V in {8,12,16,20,25,32} (>= the
-/// goal's floor), k in {4, 8, 16}, cores in {8, 16, channels}, float32
-/// included; r fixed at 8.  Returns every point (feasible or not) so
-/// callers can inspect the whole space.
-[[nodiscard]] std::vector<OperatingPoint> enumerate_design_space(
-    const WorkloadGoal& goal, const BoardProfile& board);
-
-/// Fastest feasible point.  Throws std::runtime_error if no point in
-/// the enumerated space satisfies the goal on this board.
+/// Fastest feasible point over the default grid: V in
+/// {8,12,16,20,25,32} (>= the goal's floor), k in {4, 8, 16}, cores in
+/// {8, 16, channels}, float32 included; r fixed at 8.  Throws
+/// std::runtime_error if no grid point satisfies the goal on this
+/// board.
 [[nodiscard]] OperatingPoint recommend_fastest(const WorkloadGoal& goal,
                                                const BoardProfile& board);
 
@@ -81,10 +76,5 @@ void validate(const WorkloadGoal& goal);
 [[nodiscard]] OperatingPoint recommend_cheapest(const WorkloadGoal& goal,
                                                 const BoardProfile& board,
                                                 double slowdown_budget = 1.5);
-
-/// Latency/precision Pareto-optimal subset of `points` (feasible-fit
-/// points only), sorted by ascending latency.
-[[nodiscard]] std::vector<OperatingPoint> pareto_front(
-    std::vector<OperatingPoint> points);
 
 }  // namespace topk::hbmsim

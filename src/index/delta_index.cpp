@@ -264,39 +264,18 @@ DeltaIndex::Scan DeltaIndex::scan(std::span<const float> x, int top_k) const {
   return out;
 }
 
-QueryResult DeltaIndex::query(std::span<const float> x, int top_k,
-                              const QueryOptions& /*options*/) const {
-  validate_query(x, top_k);
-  Scan scanned = scan(x, top_k);
-  QueryResult result;
-  result.entries = std::move(scanned.entries);
-  result.stats.rows_scanned = scanned.scanned;
-  return result;
-}
-
 std::uint32_t DeltaIndex::rows() const noexcept {
   util::ReaderLock lock(mutex_);
   return next_id_;
 }
 
-std::uint32_t DeltaIndex::cols() const noexcept { return cols_; }
-
-IndexDescription DeltaIndex::describe() const {
+std::uint64_t DeltaIndex::memory_bytes() const {
   util::ReaderLock lock(mutex_);
-  IndexDescription description;
-  description.backend = "delta";
-  description.detail = "in-memory delta tier: " +
-                       std::to_string(versions_.size()) + " versions over " +
-                       std::to_string(base_rows_) + " base rows, exact scan";
-  description.exact = true;
-  description.rows = next_id_;
-  description.cols = cols_;
   std::uint64_t bytes = 0;
   for (const auto& [id, version] : versions_) {
     bytes += version.columns.size() * 4 + version.values.size() * 4;
   }
-  description.memory_bytes = bytes;
-  return description;
+  return bytes;
 }
 
 std::uint64_t DeltaIndex::live_rows() const {

@@ -47,7 +47,7 @@ struct DeltaVersion {
 
 /// Mutable in-memory row store over the id space [0, next_id), where
 /// ids below base_rows belong to the sealed base.  Thread-safe.
-class DeltaIndex final : public SimilarityIndex {
+class DeltaIndex final {
  public:
   /// Consistent copy of the whole delta — the compactor's fold input.
   struct Snapshot {
@@ -113,17 +113,13 @@ class DeltaIndex final : public SimilarityIndex {
 
   [[nodiscard]] Scan scan(std::span<const float> x, int top_k) const;
 
-  /// SimilarityIndex surface: brute-force exact top-k over the live
-  /// delta rows alone.  Entries carry GLOBAL row ids (the delta has no
-  /// private id space); rows() is the id high-water mark next_id.
-  [[nodiscard]] QueryResult query(std::span<const float> x, int top_k,
-                                  const QueryOptions& options = {}) const override;
-  [[nodiscard]] std::uint32_t rows() const noexcept override;
-  [[nodiscard]] std::uint32_t cols() const noexcept override;
-  [[nodiscard]] IndexDescription describe() const override;
-
   // ---- counters (shared lock) ----
 
+  /// The id high-water mark next_id (the delta has no private id
+  /// space: scan() entries carry global row ids).
+  [[nodiscard]] std::uint32_t rows() const noexcept;
+  /// Bytes of row data held by the versions.
+  [[nodiscard]] std::uint64_t memory_bytes() const;
   [[nodiscard]] std::uint32_t base_rows() const noexcept { return base_rows_; }
   /// Live rows of the whole mutable index: next_id minus deleted ids.
   [[nodiscard]] std::uint64_t live_rows() const;

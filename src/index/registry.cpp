@@ -147,73 +147,4 @@ std::shared_ptr<SimilarityIndex> make_index(
   return factory(std::move(matrix), options);
 }
 
-std::shared_ptr<SimilarityIndex> make_index(std::string_view name,
-                                            const sparse::Csr& matrix,
-                                            const IndexOptions& options) {
-  return make_index(name, std::make_shared<const sparse::Csr>(matrix), options);
-}
-
-IndexBuilder& IndexBuilder::backend(std::string name) {
-  backend_ = std::move(name);
-  return *this;
-}
-
-IndexBuilder& IndexBuilder::matrix(std::shared_ptr<const sparse::Csr> matrix) {
-  matrix_ = std::move(matrix);
-  return *this;
-}
-
-IndexBuilder& IndexBuilder::matrix(sparse::Csr matrix) {
-  matrix_ = std::make_shared<const sparse::Csr>(std::move(matrix));
-  return *this;
-}
-
-IndexBuilder& IndexBuilder::design(const core::DesignConfig& design) {
-  options_.design = design;
-  return *this;
-}
-
-IndexBuilder& IndexBuilder::gpu_model(const baselines::GpuPerfModel& model) {
-  options_.gpu_model = model;
-  return *this;
-}
-
-IndexBuilder& IndexBuilder::shards(int count) {
-  options_.shards = count;
-  return *this;
-}
-
-IndexBuilder& IndexBuilder::nnz_balanced_shards(bool balanced) {
-  options_.nnz_balanced_shards = balanced;
-  return *this;
-}
-
-IndexBuilder& IndexBuilder::replicas(int count) {
-  options_.replicas = count;
-  return *this;
-}
-
-IndexBuilder& IndexBuilder::deployment_dir(std::string dir) {
-  options_.deployment_dir = std::move(dir);
-  return *this;
-}
-
-IndexBuilder& IndexBuilder::delta_capacity(std::uint64_t rows) {
-  options_.delta_capacity = rows;
-  return *this;
-}
-
-IndexBuilder& IndexBuilder::compact_threshold(std::uint64_t mutations) {
-  options_.compact_threshold = mutations;
-  return *this;
-}
-
-std::shared_ptr<SimilarityIndex> IndexBuilder::build() const {
-  // A warm-loading sharded backend reads its images, not a matrix.
-  if (!matrix_ && options_.deployment_dir.empty()) {
-    throw std::invalid_argument("IndexBuilder: no matrix set");
-  }
-  return make_index(backend_, matrix_, options_);
-}
-
 }  // namespace topk::index

@@ -58,53 +58,4 @@ void register_backend(const std::string& name, IndexFactory factory);
     std::string_view name, std::shared_ptr<const sparse::Csr> matrix,
     const IndexOptions& options = {});
 
-/// Convenience overload copying the matrix into shared ownership —
-/// for call sites that hand the collection off entirely.  Prefer the
-/// shared_ptr overload when several backends index the same matrix.
-[[nodiscard]] std::shared_ptr<SimilarityIndex> make_index(
-    std::string_view name, const sparse::Csr& matrix,
-    const IndexOptions& options = {});
-
-/// Fluent construction when the options outgrow a brace-init list:
-///
-///   auto fpga = IndexBuilder()
-///                   .backend("fpga-sim")
-///                   .matrix(csr)
-///                   .design(core::DesignConfig::fixed(25, 16))
-///                   .build();
-class IndexBuilder {
- public:
-  IndexBuilder& backend(std::string name);
-  IndexBuilder& matrix(std::shared_ptr<const sparse::Csr> matrix);
-  /// Copies (or moves) the matrix into shared ownership.
-  IndexBuilder& matrix(sparse::Csr matrix);
-  IndexBuilder& design(const core::DesignConfig& design);
-  IndexBuilder& gpu_model(const baselines::GpuPerfModel& model);
-  /// Shard count / planning policy for the "sharded-*" backends.
-  IndexBuilder& shards(int count);
-  IndexBuilder& nnz_balanced_shards(bool balanced);
-  /// Replicas per shard for the "sharded-*" backends (failover +
-  /// load-balanced routing; see shard/sharded_index.hpp).
-  IndexBuilder& replicas(int count);
-  /// Warm-load a "sharded-*" backend from a persisted deployment
-  /// directory (see persist/deployment.hpp); no matrix required.
-  IndexBuilder& deployment_dir(std::string dir);
-  /// Delta-row bound of the "mutable-sharded-*" backends (0 =
-  /// unbounded); inserts throw once the delta holds this many live
-  /// rows.
-  IndexBuilder& delta_capacity(std::uint64_t rows);
-  /// Mutation count at which persist::Compactor::maybe_compact()
-  /// fires for the "mutable-sharded-*" backends (0 = manual only).
-  IndexBuilder& compact_threshold(std::uint64_t mutations);
-
-  /// Throws std::invalid_argument if no matrix was set or the backend
-  /// is unknown.
-  [[nodiscard]] std::shared_ptr<SimilarityIndex> build() const;
-
- private:
-  std::string backend_ = "fpga-sim";
-  std::shared_ptr<const sparse::Csr> matrix_;
-  IndexOptions options_;
-};
-
 }  // namespace topk::index

@@ -17,8 +17,6 @@
 // library is linked as a CMake OBJECT library precisely so this TU —
 // which exports no symbol anything references — is present in every
 // binary instead of being dropped by archive-selection rules.
-#include "persist/register_backends.hpp"
-
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -207,14 +205,12 @@ void register_mutable_factories() {
 /// Static-init registration: runs once before main(), after the
 /// registry's own magic static is reachable (function-local, so
 /// always).
-const bool registered = [] {
+[[maybe_unused]] const bool registered = [] {
   register_sharded_factories();
   register_mutable_factories();
   return true;
 }();
 
 }  // namespace
-
-bool deployment_backends_registered() noexcept { return registered; }
 
 }  // namespace topk::persist

@@ -186,7 +186,6 @@ int MutableShardedIndex::max_top_k() const noexcept {
 index::IndexDescription MutableShardedIndex::describe() const {
   const auto state = current_state();
   const index::IndexDescription base = state->base->describe();
-  const index::IndexDescription delta = state->delta->describe();
   index::IndexDescription description;
   description.backend = config_.label;
   description.detail = "generation " + std::to_string(state->generation) +
@@ -199,16 +198,12 @@ index::IndexDescription MutableShardedIndex::describe() const {
   description.rows = state->delta->rows();
   description.cols = base.cols;
   description.max_top_k = base.max_top_k;
-  description.memory_bytes = base.memory_bytes + delta.memory_bytes;
+  description.memory_bytes = base.memory_bytes + state->delta->memory_bytes();
   return description;
 }
 
 std::shared_ptr<const ShardedIndex> MutableShardedIndex::base() const {
   return current_state()->base;
-}
-
-std::shared_ptr<const sparse::Csr> MutableShardedIndex::base_matrix() const {
-  return current_state()->base_matrix;
 }
 
 // ---- compaction protocol -------------------------------------------------

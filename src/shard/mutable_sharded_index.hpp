@@ -117,7 +117,6 @@ class MutableShardedIndex final : public index::MutableIndex {
   /// their own reference, so this pointer may be superseded at any
   /// time.
   [[nodiscard]] std::shared_ptr<const ShardedIndex> base() const;
-  [[nodiscard]] std::shared_ptr<const sparse::Csr> base_matrix() const;
   [[nodiscard]] const RebuildRecipe& recipe() const noexcept {
     return recipe_;
   }

@@ -18,16 +18,6 @@ void check_shard_count(std::uint32_t rows, int shards) {
 
 }  // namespace
 
-std::string to_string(ShardPolicy policy) {
-  switch (policy) {
-    case ShardPolicy::kEvenRows:
-      return "even-rows";
-    case ShardPolicy::kNnzBalanced:
-      return "nnz-balanced";
-  }
-  return "unknown";
-}
-
 ShardPlan plan_even_rows(std::uint32_t rows, int shards) {
   check_shard_count(rows, shards);
   return core::make_row_partitions(rows, shards);

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/partitioner.hpp"
@@ -31,8 +30,6 @@ enum class ShardPolicy {
   kNnzBalanced,  ///< ~nnz/shards non-zeros each (skew-tolerant)
 };
 
-[[nodiscard]] std::string to_string(ShardPolicy policy);
-
 /// A plan: contiguous half-open row ranges covering [0, rows), one per
 /// shard, every shard non-empty.
 using ShardPlan = std::vector<core::Partition>;
@@ -44,8 +41,7 @@ using ShardPlan = std::vector<core::Partition>;
 /// Nnz-balanced split: boundaries are the row_ptr positions closest to
 /// the ideal nnz/shards multiples, adjusted so every shard keeps at
 /// least one row.  Deterministic for a given matrix.  Throws like
-/// plan_even_rows.  (sparse::matrix_stats quantifies the skew this
-/// policy neutralises; plan_nnz_imbalance scores the result.)
+/// plan_even_rows.  (plan_nnz_imbalance scores the result.)
 [[nodiscard]] ShardPlan plan_nnz_balanced(const sparse::Csr& matrix, int shards);
 
 /// Work imbalance of a plan: max shard nnz / ideal shard nnz

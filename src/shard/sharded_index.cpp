@@ -635,11 +635,6 @@ ShardedIndexBuilder& ShardedIndexBuilder::matrix(
   return *this;
 }
 
-ShardedIndexBuilder& ShardedIndexBuilder::matrix(sparse::Csr matrix) {
-  matrix_ = std::make_shared<const sparse::Csr>(std::move(matrix));
-  return *this;
-}
-
 ShardedIndexBuilder& ShardedIndexBuilder::shards(int count) {
   shards_ = count;
   return *this;

@@ -291,8 +291,6 @@ class ShardedIndex final : public index::SimilarityIndex {
 class ShardedIndexBuilder {
  public:
   ShardedIndexBuilder& matrix(std::shared_ptr<const sparse::Csr> matrix);
-  /// Copies (or moves) the matrix into shared ownership.
-  ShardedIndexBuilder& matrix(sparse::Csr matrix);
   /// Shard count (default 4).  Validated against the row count at
   /// build() time by the planner.
   ShardedIndexBuilder& shards(int count);

@@ -64,12 +64,6 @@ class Coo {
   /// calling sort_row_major first or does it internally).
   void sum_duplicates();
 
-  /// Size in bytes of the naive COO stream from Figure 3: 32-bit row,
-  /// 32-bit column, 32-bit value per non-zero.
-  [[nodiscard]] std::size_t naive_stream_bytes() const noexcept {
-    return nnz() * 12;
-  }
-
  private:
   std::uint32_t rows_ = 0;
   std::uint32_t cols_ = 0;

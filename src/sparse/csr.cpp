@@ -90,18 +90,6 @@ double Csr::row_dot(std::uint32_t r, std::span<const float> x) const {
   return acc;
 }
 
-void Csr::spmv(std::span<const float> x, std::span<float> y) const {
-  if (x.size() != cols_) {
-    throw std::invalid_argument("Csr::spmv: input vector size mismatch");
-  }
-  if (y.size() != rows_) {
-    throw std::invalid_argument("Csr::spmv: output vector size mismatch");
-  }
-  for (std::uint32_t r = 0; r < rows_; ++r) {
-    y[r] = static_cast<float>(row_dot(r, x));
-  }
-}
-
 Csr Csr::slice_rows(std::uint32_t row_begin, std::uint32_t row_end) const {
   if (row_begin > row_end || row_end > rows_) {
     throw std::out_of_range("Csr::slice_rows: invalid row range");
@@ -122,19 +110,6 @@ Csr Csr::slice_rows(std::uint32_t row_begin, std::uint32_t row_end) const {
   return out;
 }
 
-Coo Csr::to_coo() const {
-  Coo out(rows_ == 0 ? 1 : rows_, cols_ == 0 ? 1 : cols_);
-  out.reserve(nnz());
-  for (std::uint32_t r = 0; r < rows_; ++r) {
-    const auto cols = row_cols(r);
-    const auto vals = row_values(r);
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      out.push_back(r, cols[i], vals[i]);
-    }
-  }
-  return out;
-}
-
 void Csr::l2_normalize_rows() {
   for (std::uint32_t r = 0; r < rows_; ++r) {
     const std::uint64_t begin = row_ptr_[r];
@@ -151,15 +126,6 @@ void Csr::l2_normalize_rows() {
       val_[i] *= inv_norm;
     }
   }
-}
-
-std::size_t Csr::max_row_nnz() const noexcept {
-  std::size_t max_nnz = 0;
-  for (std::uint32_t r = 0; r < rows_; ++r) {
-    max_nnz = std::max(max_nnz,
-                       static_cast<std::size_t>(row_ptr_[r + 1] - row_ptr_[r]));
-  }
-  return max_nnz;
 }
 
 }  // namespace topk::sparse

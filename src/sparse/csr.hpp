@@ -61,23 +61,13 @@ class Csr {
   /// std::invalid_argument if x.size() != cols().
   [[nodiscard]] double row_dot(std::uint32_t r, std::span<const float> x) const;
 
-  /// Full SpMV y = A*x with double accumulation, single-precision
-  /// output.  Throws std::invalid_argument on shape mismatch.
-  void spmv(std::span<const float> x, std::span<float> y) const;
-
   /// Copies rows [row_begin, row_end) into a new matrix with the same
   /// column count.  Throws std::out_of_range on a bad range.
   [[nodiscard]] Csr slice_rows(std::uint32_t row_begin, std::uint32_t row_end) const;
 
-  /// Converts back to (canonical) COO.
-  [[nodiscard]] Coo to_coo() const;
-
   /// L2-normalises every non-empty row in place, making row dot
   /// products cosine similarities as in the paper's embedding setting.
   void l2_normalize_rows();
-
-  /// Maximum number of non-zeros in any single row.
-  [[nodiscard]] std::size_t max_row_nnz() const noexcept;
 
   /// Size in bytes of a standard CSR image (64-bit row_ptr + 32-bit
   /// col + 32-bit val), for the format-footprint comparisons.

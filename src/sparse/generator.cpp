@@ -63,16 +63,6 @@ void sample_distinct_columns(std::uint32_t cols, std::uint32_t count,
 
 }  // namespace
 
-std::string to_string(RowDistribution dist) {
-  switch (dist) {
-    case RowDistribution::kUniform:
-      return "Uniform";
-    case RowDistribution::kGamma:
-      return "Gamma(3,4/3)";
-  }
-  return "Unknown";
-}
-
 void validate(const GeneratorConfig& config) {
   if (config.rows == 0 || config.cols == 0) {
     throw std::invalid_argument("GeneratorConfig: dimensions must be positive");

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -20,8 +19,6 @@ enum class RowDistribution {
   kUniform,  ///< nnz/row ~ Uniform centred on the mean (paper "Uniform")
   kGamma,    ///< nnz/row ~ Gamma(3, 4/3) rescaled to the mean (paper "Γ")
 };
-
-[[nodiscard]] std::string to_string(RowDistribution dist);
 
 /// Parameters for the synthetic generator.
 struct GeneratorConfig {

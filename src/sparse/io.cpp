@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -96,69 +95,6 @@ Csr load_binary(const std::filesystem::path& path) {
     throw std::runtime_error("sparse::load_binary: cannot open " + path.string());
   }
   return load_binary(is);
-}
-
-void save_matrix_market(const Csr& matrix, const std::filesystem::path& path) {
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error("sparse::save_matrix_market: cannot open " +
-                             path.string());
-  }
-  os << "%%MatrixMarket matrix coordinate real general\n";
-  os << matrix.rows() << ' ' << matrix.cols() << ' ' << matrix.nnz() << '\n';
-  for (std::uint32_t r = 0; r < matrix.rows(); ++r) {
-    const auto cols = matrix.row_cols(r);
-    const auto vals = matrix.row_values(r);
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      os << (r + 1) << ' ' << (cols[i] + 1) << ' ' << vals[i] << '\n';
-    }
-  }
-  if (!os) {
-    throw std::runtime_error("sparse::save_matrix_market: write failure");
-  }
-}
-
-Csr load_matrix_market(const std::filesystem::path& path) {
-  std::ifstream is(path);
-  if (!is) {
-    throw std::runtime_error("sparse::load_matrix_market: cannot open " +
-                             path.string());
-  }
-  std::string line;
-  if (!std::getline(is, line) || line.rfind("%%MatrixMarket", 0) != 0) {
-    throw std::runtime_error("sparse::load_matrix_market: missing header");
-  }
-  if (line.find("coordinate") == std::string::npos) {
-    throw std::runtime_error("sparse::load_matrix_market: only coordinate supported");
-  }
-  // Skip comments.
-  do {
-    if (!std::getline(is, line)) {
-      throw std::runtime_error("sparse::load_matrix_market: missing size line");
-    }
-  } while (!line.empty() && line[0] == '%');
-
-  std::istringstream size_line(line);
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  std::uint64_t nnz = 0;
-  if (!(size_line >> rows >> cols >> nnz) || rows == 0 || cols == 0) {
-    throw std::runtime_error("sparse::load_matrix_market: bad size line");
-  }
-
-  Coo coo(static_cast<std::uint32_t>(rows), static_cast<std::uint32_t>(cols));
-  coo.reserve(nnz);
-  for (std::uint64_t i = 0; i < nnz; ++i) {
-    std::uint64_t r = 0;
-    std::uint64_t c = 0;
-    double v = 0.0;
-    if (!(is >> r >> c >> v) || r == 0 || c == 0 || r > rows || c > cols) {
-      throw std::runtime_error("sparse::load_matrix_market: bad entry");
-    }
-    coo.push_back(static_cast<std::uint32_t>(r - 1),
-                  static_cast<std::uint32_t>(c - 1), static_cast<float>(v));
-  }
-  return Csr::from_coo(std::move(coo));
 }
 
 }  // namespace topk::sparse

@@ -1,10 +1,8 @@
-// Binary and text serialisation for sparse matrices.
+// Binary serialisation for sparse matrices.
 //
 // The paper's matrices take minutes to generate at full scale; the
 // benches cache them on disk.  The binary format is a simple
-// little-endian image with a magic/version header.  A MatrixMarket-
-// style text writer/reader is provided for interop with external
-// tooling.
+// little-endian image with a magic/version header.
 #pragma once
 
 #include <filesystem>
@@ -23,13 +21,5 @@ void save_binary(const Csr& matrix, std::ostream& os);
 /// std::runtime_error on I/O failure or a malformed/corrupt image.
 [[nodiscard]] Csr load_binary(const std::filesystem::path& path);
 [[nodiscard]] Csr load_binary(std::istream& is);
-
-/// Writes a MatrixMarket "coordinate real general" file (1-based
-/// indices).  Throws std::runtime_error on I/O failure.
-void save_matrix_market(const Csr& matrix, const std::filesystem::path& path);
-
-/// Reads a MatrixMarket coordinate file (real or integer, general).
-/// Throws std::runtime_error on parse failure.
-[[nodiscard]] Csr load_matrix_market(const std::filesystem::path& path);
 
 }  // namespace topk::sparse

@@ -193,12 +193,6 @@ void write_prometheus(std::ostream& out,
   }
 }
 
-std::string to_prometheus(const std::vector<FamilySnapshot>& families) {
-  std::ostringstream out;
-  write_prometheus(out, families);
-  return out.str();
-}
-
 void write_json(std::ostream& out,
                 const std::vector<FamilySnapshot>& families) {
   out << "{\"metrics\":[";
@@ -239,12 +233,6 @@ void write_json(std::ostream& out,
     out << "]}";
   }
   out << "]}\n";
-}
-
-std::string to_json(const std::vector<FamilySnapshot>& families) {
-  std::ostringstream out;
-  write_json(out, families);
-  return out.str();
 }
 
 }  // namespace topk::telemetry

@@ -22,8 +22,6 @@ namespace topk::telemetry {
 /// with `le="+Inf"`, plus `_sum` and `_count`.
 void write_prometheus(std::ostream& out,
                       const std::vector<FamilySnapshot>& families);
-[[nodiscard]] std::string to_prometheus(
-    const std::vector<FamilySnapshot>& families);
 
 /// JSON mirror: {"metrics":[{"name","type","help","series":[{"labels":
 /// {...},"value":...}|{"labels":{...},"count","sum","buckets":[{"le",
@@ -31,6 +29,5 @@ void write_prometheus(std::ostream& out,
 /// cumulative) — the raw snapshot, not the scrape encoding.
 void write_json(std::ostream& out,
                 const std::vector<FamilySnapshot>& families);
-[[nodiscard]] std::string to_json(const std::vector<FamilySnapshot>& families);
 
 }  // namespace topk::telemetry

@@ -4,8 +4,6 @@
 #include <cctype>
 #include <stdexcept>
 
-#include "util/percentile.hpp"
-
 namespace topk::telemetry {
 
 namespace {
@@ -60,10 +58,6 @@ std::string to_string(MetricType type) {
       return "histogram";
   }
   return "unknown";
-}
-
-double HistogramSnapshot::quantile(double q) const {
-  return util::histogram_quantile(bounds, counts, q);
 }
 
 Histogram::Histogram(std::vector<double> upper_bounds)

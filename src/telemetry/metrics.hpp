@@ -8,8 +8,7 @@
 //   * Gauge     — last-writer-wins double (set) with a CAS add path
 //                 for +/- deltas (queue depth, in-flight);
 //   * Histogram — fixed log-scale buckets chosen at registration, one
-//                 relaxed increment + one CAS sum-add per observation,
-//                 quantile estimates via util::histogram_quantile.
+//                 relaxed increment + one CAS sum-add per observation.
 //
 // Memory ordering: every atomic operation in this header is relaxed,
 // on purpose.  Metrics are advisory monotonic counts and last-value
@@ -106,9 +105,6 @@ struct HistogramSnapshot {
   std::vector<std::uint64_t> counts;  ///< bounds.size() + 1 (overflow last)
   std::uint64_t count = 0;            ///< total observations
   double sum = 0.0;                   ///< sum of observed values
-
-  /// util::histogram_quantile over this snapshot.
-  [[nodiscard]] double quantile(double q) const;
 };
 
 /// Fixed-bucket histogram: bucket i counts observations <= bounds[i]
@@ -124,9 +120,6 @@ class Histogram {
   void observe(double value) noexcept;
 
   [[nodiscard]] HistogramSnapshot snapshot() const;
-
-  /// Convenience: quantile estimate over a fresh snapshot.
-  [[nodiscard]] double quantile(double q) const { return snapshot().quantile(q); }
 
   /// `count` log-scale bucket bounds starting at `start`, each
   /// `factor` times the previous (Prometheus exponential_buckets).

@@ -36,10 +36,6 @@ double now_seconds() {
       .count();
 }
 
-SpanArg arg(std::string key, double value) {
-  return {std::move(key), format_number(value), true};
-}
-
 SpanArg arg(std::string key, std::uint64_t value) {
   return {std::move(key), std::to_string(value), true};
 }

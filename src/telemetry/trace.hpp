@@ -44,7 +44,6 @@ struct SpanArg {
 [[nodiscard]] inline SpanArg arg(std::string key, std::string value) {
   return {std::move(key), std::move(value), false};
 }
-[[nodiscard]] SpanArg arg(std::string key, double value);
 [[nodiscard]] SpanArg arg(std::string key, std::uint64_t value);
 [[nodiscard]] SpanArg arg(std::string key, std::int64_t value);
 [[nodiscard]] inline SpanArg arg(std::string key, int value) {

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/stats.hpp"
-
 namespace topk::util {
 
 PercentileWindow::PercentileWindow(std::size_t capacity)
@@ -22,51 +20,9 @@ void PercentileWindow::add(double value) {
   next_ = (next_ + 1) % capacity_;
 }
 
-double PercentileWindow::quantile(double q) const {
-  return util::quantile(window_, q);
-}
-
 void PercentileWindow::clear() {
   window_.clear();
   next_ = 0;
-}
-
-double histogram_quantile(std::span<const double> upper_bounds,
-                          std::span<const std::uint64_t> counts, double q) {
-  if (q < 0.0 || q > 1.0) {
-    throw std::invalid_argument("histogram_quantile: q outside [0, 1]");
-  }
-  if (counts.size() != upper_bounds.size() + 1) {
-    throw std::invalid_argument(
-        "histogram_quantile: counts must carry one overflow bucket beyond "
-        "the finite bounds");
-  }
-  std::uint64_t total = 0;
-  for (std::size_t b = 0; b < upper_bounds.size(); ++b) {
-    if (b > 0 && upper_bounds[b] <= upper_bounds[b - 1]) {
-      throw std::invalid_argument(
-          "histogram_quantile: bounds must be strictly increasing");
-    }
-    total += counts[b];
-  }
-  total += counts.back();
-  if (total == 0) {
-    return 0.0;
-  }
-  const double rank = q * static_cast<double>(total);
-  double cumulative = 0.0;
-  for (std::size_t b = 0; b < upper_bounds.size(); ++b) {
-    const double in_bucket = static_cast<double>(counts[b]);
-    if (cumulative + in_bucket >= rank && in_bucket > 0.0) {
-      const double lower = b == 0 ? 0.0 : upper_bounds[b - 1];
-      const double fraction = (rank - cumulative) / in_bucket;
-      return lower + (upper_bounds[b] - lower) * fraction;
-    }
-    cumulative += in_bucket;
-  }
-  // The rank lives in the overflow bucket: the honest answer is "above
-  // the largest finite bound", which clamps to that bound.
-  return upper_bounds.empty() ? 0.0 : upper_bounds.back();
 }
 
 }  // namespace topk::util

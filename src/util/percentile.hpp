@@ -1,34 +1,16 @@
-// Percentile estimation shared by the serving layer and the telemetry
-// histograms — one definition of "p99" for the whole stack.
-//
-// Two estimators with different trade-offs:
-//
-//   * PercentileWindow — exact quantiles (util::quantile linear
-//     interpolation) over the most recent `capacity` samples.  O(n log
-//     n) per digest, O(1) per sample; the right tool when the caller
-//     already serialises access (serve::QueryEngine holds it under its
-//     latency mutex) and wants percentiles that track recent traffic.
-//   * histogram_quantile — the Prometheus estimator over fixed-bucket
-//     cumulative counts: linear interpolation inside the bucket that
-//     crosses the requested rank.  Lossy (bucket resolution) but
-//     mergeable across processes and lock-free to feed, which is what
-//     telemetry::Histogram needs.
-//
-// Both live here so a change to the interpolation rule moves every
-// consumer at once instead of letting the engine and the registry
-// drift apart.
+// Sliding-window latency samples for the serving layer.  The engine
+// reads p50/p95/p99 off samples() with util::quantile, so the whole
+// stack shares one definition of "p99".
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <span>
 #include <vector>
 
 namespace topk::util {
 
-/// Fixed-capacity ring buffer of samples with exact quantile digests
-/// over the retained window.  NOT thread-safe: callers serialise
-/// access (the engine guards it with its latency mutex).
+/// Fixed-capacity ring buffer of the most recent samples.  NOT
+/// thread-safe: callers serialise access (the engine guards it with
+/// its latency mutex).
 class PercentileWindow {
  public:
   /// Throws std::invalid_argument for capacity == 0.
@@ -37,18 +19,9 @@ class PercentileWindow {
   /// Records one sample, evicting the oldest once full.
   void add(double value);
 
-  /// Samples currently retained (<= capacity).
-  [[nodiscard]] std::size_t size() const noexcept { return window_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool empty() const noexcept { return window_.empty(); }
-
   /// Copy of the retained samples (unordered — the ring rotation is
   /// not undone, quantiles sort anyway).
   [[nodiscard]] std::vector<double> samples() const { return window_; }
-
-  /// Exact q-quantile of the retained window via util::quantile.
-  /// Throws std::invalid_argument when empty or q outside [0, 1].
-  [[nodiscard]] double quantile(double q) const;
 
   /// Drops every sample (fresh measurement epoch).
   void clear();
@@ -58,18 +31,5 @@ class PercentileWindow {
   std::vector<double> window_;
   std::size_t next_ = 0;  ///< eviction cursor once the window is full
 };
-
-/// Prometheus-style quantile estimate over cumulative fixed buckets:
-/// `upper_bounds` are the finite bucket upper edges (strictly
-/// increasing), `counts` the per-bucket observation counts with ONE
-/// extra trailing overflow bucket (counts.size() == upper_bounds.size()
-/// + 1).  Interpolates linearly inside the bucket containing the
-/// q-rank (the first bucket's lower edge is 0); ranks landing in the
-/// overflow bucket clamp to the largest finite bound.  Returns 0 when
-/// no observations were recorded.  Throws std::invalid_argument on a
-/// size mismatch, an unsorted bound list, or q outside [0, 1].
-[[nodiscard]] double histogram_quantile(std::span<const double> upper_bounds,
-                                        std::span<const std::uint64_t> counts,
-                                        double q);
 
 }  // namespace topk::util

@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace topk::util {
@@ -15,25 +14,14 @@ void RunningStats::add(double x) noexcept {
     max_ = std::max(max_, x);
   }
   ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
-
-double RunningStats::variance() const noexcept {
-  if (n_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double quantile(std::span<const double> values, double q) {
   if (values.empty()) {
     throw std::invalid_argument("quantile: empty input");
   }
-  if (q < 0.0 || q > 1.0) {
+  if (!(q >= 0.0 && q <= 1.0)) {  // also rejects NaN
     throw std::invalid_argument("quantile: q must be in [0, 1]");
   }
   std::vector<double> sorted(values.begin(), values.end());
@@ -43,31 +31,6 @@ double quantile(std::span<const double> values, double q) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double mean(std::span<const double> values) {
-  if (values.empty()) {
-    throw std::invalid_argument("mean: empty input");
-  }
-  double sum = 0.0;
-  for (const double v : values) {
-    sum += v;
-  }
-  return sum / static_cast<double>(values.size());
-}
-
-double geometric_mean(std::span<const double> values) {
-  if (values.empty()) {
-    throw std::invalid_argument("geometric_mean: empty input");
-  }
-  double log_sum = 0.0;
-  for (const double v : values) {
-    if (v <= 0.0) {
-      throw std::invalid_argument("geometric_mean: values must be positive");
-    }
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 }  // namespace topk::util

@@ -7,23 +7,19 @@
 
 namespace topk::util {
 
-/// Welford online mean/variance accumulator.
+/// Online mean/min/max accumulator.
 class RunningStats {
  public:
   void add(double x) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return mean_; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -32,11 +28,5 @@ class RunningStats {
 /// interpolation on a sorted copy.  Throws std::invalid_argument on an
 /// empty input or q outside [0,1].
 [[nodiscard]] double quantile(std::span<const double> values, double q);
-
-/// Arithmetic mean; throws std::invalid_argument on empty input.
-[[nodiscard]] double mean(std::span<const double> values);
-
-/// Geometric mean of strictly positive values; throws otherwise.
-[[nodiscard]] double geometric_mean(std::span<const double> values);
 
 }  // namespace topk::util

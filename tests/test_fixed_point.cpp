@@ -10,9 +10,7 @@
 namespace topk::fixed {
 namespace {
 
-TEST(FixedFormat, ResolutionAndMaxRaw) {
-  EXPECT_DOUBLE_EQ(kQ1_19.resolution(), std::ldexp(1.0, -19));
-  EXPECT_DOUBLE_EQ(kQ1_31.resolution(), std::ldexp(1.0, -31));
+TEST(FixedFormat, MaxRawAndFracBits) {
   EXPECT_EQ(kQ1_19.max_raw(), (1u << 20) - 1);
   EXPECT_EQ(kQ1_31.max_raw(), 0xFFFFFFFFu);
   EXPECT_EQ(kQ1_19.frac_bits(), 19);
@@ -40,11 +38,12 @@ TEST(Quantize, SaturatesAtMax) {
 TEST(Quantize, RoundTripErrorBoundedByHalfLsb) {
   util::Xoshiro256 rng(17);
   for (const FixedFormat& format : {kQ1_19, kQ1_24, kQ1_31, FixedFormat{10, 1}}) {
+    const double half_lsb = std::ldexp(0.5, -format.frac_bits());
     for (int i = 0; i < 1000; ++i) {
       const double value = rng.uniform();
       const std::uint32_t raw = quantize(value, format);
       const double back = dequantize(raw, format);
-      EXPECT_LE(std::abs(back - value), format.resolution() * 0.5 + 1e-15)
+      EXPECT_LE(std::abs(back - value), half_lsb + 1e-15)
           << "V=" << format.total_bits;
     }
   }
@@ -99,37 +98,6 @@ TEST(FixedAccumulator, LowFracFormatsShiftLeft) {
   EXPECT_NEAR(acc.to_double(), 0.25, 1.0 / 128.0);
 }
 
-using UQ1_19 = UFixed<20, 1>;
-
-TEST(UFixed, FromDoubleToDouble) {
-  const auto half = UQ1_19::from_double(0.5);
-  EXPECT_DOUBLE_EQ(half.to_double(), 0.5);
-  EXPECT_EQ(UQ1_19::from_double(0.0).raw(), 0u);
-}
-
-TEST(UFixed, AdditionSaturates) {
-  const auto big = UQ1_19::from_double(1.5);
-  const auto sum = big + big;
-  EXPECT_DOUBLE_EQ(sum.to_double(),
-                   dequantize(UQ1_19::format().max_raw(), UQ1_19::format()));
-}
-
-TEST(UFixed, MultiplicationMatchesDoubleWithinLsb) {
-  util::Xoshiro256 rng(31);
-  for (int i = 0; i < 1000; ++i) {
-    const double a = rng.uniform();
-    const double b = rng.uniform();
-    const auto product = UQ1_19::from_double(a) * UQ1_19::from_double(b);
-    EXPECT_NEAR(product.to_double(), a * b, 3.0 * UQ1_19::format().resolution());
-  }
-}
-
-TEST(UFixed, ComparisonsFollowValues) {
-  EXPECT_LT(UQ1_19::from_double(0.25), UQ1_19::from_double(0.5));
-  EXPECT_EQ(UQ1_19::from_double(0.5), UQ1_19::from_double(0.5));
-  EXPECT_GT(UQ1_19::from_double(1.0), UQ1_19::from_double(0.99));
-}
-
 /// Parameterised sweep: quantisation error stays within half an LSB
 /// across the whole family of formats the benches explore.
 class FixedFormatSweep : public ::testing::TestWithParam<int> {};
@@ -144,7 +112,7 @@ TEST_P(FixedFormatSweep, QuantizationErrorWithinHalfLsb) {
     const double back = dequantize(quantize(value, format), format);
     max_error = std::max(max_error, std::abs(back - value));
   }
-  EXPECT_LE(max_error, format.resolution() * 0.5 + 1e-15);
+  EXPECT_LE(max_error, std::ldexp(0.5, -format.frac_bits()) + 1e-15);
 }
 
 TEST_P(FixedFormatSweep, DotProductErrorScalesWithResolution) {
@@ -161,7 +129,8 @@ TEST_P(FixedFormatSweep, DotProductErrorScalesWithResolution) {
                     quantize(x, kQ1_31));
   }
   // Error per product is <= lsb/2 * |x| + tiny accumulator truncation.
-  const double bound = kTerms * (format.resolution() * 0.5 * 0.15 + 1e-12) +
+  const double half_lsb = std::ldexp(0.5, -format.frac_bits());
+  const double bound = kTerms * (half_lsb * 0.15 + 1e-12) +
                        kTerms * std::ldexp(1.0, -kAccFracBits);
   EXPECT_NEAR(acc.to_double(), exact, bound) << "V=" << format.total_bits;
 }

@@ -1,5 +1,5 @@
 // Tests for the unified multi-backend index subsystem: the backend
-// registry, IndexBuilder, the shared validation path, describe()
+// registry, the shared validation path, describe()
 // metadata, and — the comparative heart of the paper — cross-backend
 // agreement: the exact backends must be bit-identical, and the
 // approximate ones must clear a recall floor against them.
@@ -105,22 +105,14 @@ TEST(IndexRegistryTest, MakeIndexRejectsNullMatrix) {
   EXPECT_THROW((void)make_index("cpu-heap", nullptr), std::invalid_argument);
 }
 
-TEST(IndexBuilderTest, BuildsConfiguredBackends) {
+TEST(IndexRegistryTest, MakeIndexForwardsTheDesign) {
   const auto matrix = shared_matrix(300, 128, 8.0, 14);
-  const auto fpga = IndexBuilder()
-                        .backend("fpga-sim")
-                        .matrix(matrix)
-                        .design(core::DesignConfig::fixed(25, 4))
-                        .build();
-  const auto description = fpga->describe();
+  IndexOptions options;
+  options.design = core::DesignConfig::fixed(25, 4);
+  const auto description = make_index("fpga-sim", matrix, options)->describe();
   EXPECT_EQ(description.backend, "fpga-sim");
   EXPECT_NE(description.detail.find("25b"), std::string::npos)
       << description.detail;
-  EXPECT_THROW((void)IndexBuilder().backend("cpu-heap").build(),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)IndexBuilder().backend("annoy").matrix(matrix).build(),
-      std::invalid_argument);
 }
 
 // -------------------------------------------------------------- describe()

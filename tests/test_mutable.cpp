@@ -241,9 +241,6 @@ TEST(DeltaIndexTest, ScanScoresExactlyAndMasksSupersededAndDeleted) {
   EXPECT_EQ(scan.entries[0].value, score);
   EXPECT_EQ(scan.entries[1].index, 5u);
   EXPECT_EQ(scan.entries[1].value, score);
-
-  // The SimilarityIndex view serves the same entries with global ids.
-  EXPECT_EQ(delta.query(x, 10).entries, scan.entries);
 }
 
 TEST(DeltaIndexTest, UnsortedColumnsCanonicaliseBeforeScoring) {
@@ -685,11 +682,11 @@ TEST_F(MutableIndexTest, WarmRestartAdoptsGenerationAndTombstones) {
   // A fresh process resumes from the generation image alone: the v2
   // manifest supplies the generation, the inherited tombstones, and
   // the replica fan-out comes from the options.
-  const auto warm = index::IndexBuilder()
-                        .backend("mutable-sharded-exact-sort")
-                        .deployment_dir(report->dir.string())
-                        .replicas(2)
-                        .build();
+  index::IndexOptions warm_options;
+  warm_options.deployment_dir = report->dir.string();
+  warm_options.replicas = 2;
+  const auto warm = index::make_index("mutable-sharded-exact-sort", nullptr,
+                                      warm_options);
   const auto warm_mut = index::as_mutable(warm);
   ASSERT_NE(warm_mut, nullptr);
   EXPECT_EQ(warm_mut->delta_stats().generation, 1u);
@@ -770,13 +767,12 @@ TEST(MutableRegistryTest, MutableBackendsAreRegisteredAndTyped) {
   EXPECT_THROW((void)index::make_index("mutable-sharded-cpu-heap", nullptr),
                std::invalid_argument);
 
-  const auto built = index::IndexBuilder()
-                         .backend("mutable-sharded-cpu-heap")
-                         .matrix(matrix)
-                         .shards(2)
-                         .delta_capacity(16)
-                         .compact_threshold(8)
-                         .build();
+  index::IndexOptions options;
+  options.shards = 2;
+  options.delta_capacity = 16;
+  options.compact_threshold = 8;
+  const auto built =
+      index::make_index("mutable-sharded-cpu-heap", matrix, options);
   const auto mut = index::as_mutable(built);
   ASSERT_NE(mut, nullptr);
   EXPECT_EQ(mut->delta_stats().delta_capacity, 16u);

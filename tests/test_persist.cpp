@@ -375,13 +375,6 @@ TEST_F(PersistTest, RegistryWarmLoadsFromDeploymentDir) {
       index::make_index("sharded-exact-sort", nullptr, warm_options);
   expect_bit_identical(*cold, *warm, 10, 70);
 
-  // And through the fluent builder.
-  const auto built = index::IndexBuilder()
-                         .backend("sharded-exact-sort")
-                         .deployment_dir(dir().string())
-                         .build();
-  expect_bit_identical(*cold, *built, 10, 71);
-
   // ShardedIndexBuilder::from_deployment is the typed entry point.
   const auto typed = shard::ShardedIndexBuilder::from_deployment(dir());
   expect_bit_identical(*cold, *typed, 10, 72);

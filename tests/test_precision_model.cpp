@@ -104,15 +104,6 @@ TEST(PrecisionModel, MonteCarloHandlesUnevenPartitions) {
   EXPECT_NEAR(mc, closed, 0.005);
 }
 
-TEST(PrecisionModel, AveragedFormIsAtLeastFinalForm) {
-  // Averaging over prefixes K_i <= K can only improve the estimate
-  // (precision decreases with K).
-  const double final_form = expected_precision_closed(1'000'000, 16, 8, 100);
-  const double averaged = expected_precision_averaged(1'000'000, 16, 8, 100);
-  EXPECT_GE(averaged, final_form);
-  EXPECT_LE(averaged, 1.0);
-}
-
 TEST(PrecisionModel, ValidatesArguments) {
   util::Xoshiro256 rng(1);
   EXPECT_THROW((void)expected_precision_closed(0, 1, 8, 8),

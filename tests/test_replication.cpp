@@ -390,12 +390,11 @@ TEST(ReplicationTest, RegistryAndIndexBuilderForwardReplicas) {
       (void)ShardedIndexBuilder().matrix(matrix).replicas(0).build(),
       std::invalid_argument);
 
-  const auto built = index::IndexBuilder()
-                         .backend("sharded-exact-sort")
-                         .matrix(matrix)
-                         .shards(3)
-                         .replicas(2)
-                         .build();
+  index::IndexOptions replicated_options;
+  replicated_options.shards = 3;
+  replicated_options.replicas = 2;
+  const auto built =
+      index::make_index("sharded-exact-sort", matrix, replicated_options);
   const auto built_result = built->query(x, 10);
   ASSERT_NE(index::shard_stats(built_result), nullptr);
   EXPECT_EQ(index::shard_stats(built_result)->replicas, 2);

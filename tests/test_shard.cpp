@@ -99,8 +99,6 @@ TEST(ShardPlannerTest, PolicyFacadeDispatches) {
             plan_even_rows(matrix.rows(), 4));
   EXPECT_EQ(ShardPlanner(ShardPolicy::kNnzBalanced).plan(matrix, 4),
             plan_nnz_balanced(matrix, 4));
-  EXPECT_EQ(to_string(ShardPolicy::kEvenRows), "even-rows");
-  EXPECT_EQ(to_string(ShardPolicy::kNnzBalanced), "nnz-balanced");
 }
 
 TEST(ShardPlannerTest, RejectsBadShardCounts) {
@@ -137,9 +135,9 @@ TEST(ShardedIndexTest, FourExactShardsBitIdenticalToExactSort) {
       index::QueryOptions parallel;
       parallel.threads = 4;
       EXPECT_EQ(sharded->query(x, 25, sequential).entries, expected)
-          << to_string(policy) << " query " << q;
+          << "policy " << static_cast<int>(policy) << " query " << q;
       EXPECT_EQ(sharded->query(x, 25, parallel).entries, expected)
-          << to_string(policy) << " query " << q;
+          << "policy " << static_cast<int>(policy) << " query " << q;
     }
   }
 }
@@ -477,13 +475,12 @@ TEST(ShardRegistryTest, OptionsControlShardCountAndClamping) {
   ASSERT_NE(index::shard_stats(tiny_result), nullptr);
   EXPECT_EQ(index::shard_stats(tiny_result)->shards, 3);
 
-  // IndexBuilder forwards the shard knobs.
-  const auto built = index::IndexBuilder()
-                         .backend("sharded-exact-sort")
-                         .matrix(matrix)
-                         .shards(3)
-                         .nnz_balanced_shards(false)
-                         .build();
+  // make_index forwards the shard knobs.
+  index::IndexOptions even_options;
+  even_options.shards = 3;
+  even_options.nnz_balanced_shards = false;
+  const auto built =
+      index::make_index("sharded-exact-sort", matrix, even_options);
   const auto built_result = built->query(std::vector<float>(64, 0.1f), 5);
   ASSERT_NE(index::shard_stats(built_result), nullptr);
   EXPECT_EQ(index::shard_stats(built_result)->shards, 3);

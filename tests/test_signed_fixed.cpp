@@ -52,11 +52,12 @@ TEST(QuantizeSigned, RoundTripErrorWithinHalfLsb) {
   util::Xoshiro256 rng(61);
   for (const FixedFormat format : {FixedFormat{20, 1}, FixedFormat{25, 1},
                                    FixedFormat{32, 1}, FixedFormat{8, 1}}) {
+    const double half_lsb = std::ldexp(0.5, -format.frac_bits());
     for (int i = 0; i < 1000; ++i) {
       const double value = rng.uniform(-0.999, 0.999);
       const double back =
           dequantize_signed(quantize_signed(value, format), format);
-      EXPECT_LE(std::abs(back - value), format.resolution() * 0.5 + 1e-15)
+      EXPECT_LE(std::abs(back - value), half_lsb + 1e-15)
           << "V=" << format.total_bits << " value=" << value;
     }
   }

@@ -66,12 +66,5 @@ TEST(Coo, IsCanonicalDetectsDuplicates) {
   EXPECT_FALSE(matrix.is_canonical());
 }
 
-TEST(Coo, NaiveStreamBytesIsTwelvePerEntry) {
-  Coo matrix(4, 4);
-  matrix.push_back(0, 0, 1.0f);
-  matrix.push_back(1, 1, 1.0f);
-  EXPECT_EQ(matrix.naive_stream_bytes(), 24u);
-}
-
 }  // namespace
 }  // namespace topk::sparse

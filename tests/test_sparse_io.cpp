@@ -52,54 +52,6 @@ TEST_F(SparseIoTest, BinaryRejectsTruncated) {
 
 TEST_F(SparseIoTest, MissingFileThrows) {
   EXPECT_THROW((void)load_binary(dir_ / "nope.bin"), std::runtime_error);
-  EXPECT_THROW((void)load_matrix_market(dir_ / "nope.mtx"), std::runtime_error);
-}
-
-TEST_F(SparseIoTest, MatrixMarketRoundTrip) {
-  const Csr matrix = test::small_random_matrix(60, 40, 5.0, 8);
-  const auto path = dir_ / "matrix.mtx";
-  save_matrix_market(matrix, path);
-  const Csr loaded = load_matrix_market(path);
-  EXPECT_EQ(loaded.rows(), matrix.rows());
-  EXPECT_EQ(loaded.cols(), matrix.cols());
-  EXPECT_EQ(loaded.row_ptr(), matrix.row_ptr());
-  EXPECT_EQ(loaded.col_idx(), matrix.col_idx());
-  for (std::size_t i = 0; i < matrix.nnz(); ++i) {
-    EXPECT_NEAR(loaded.values()[i], matrix.values()[i], 1e-6f);
-  }
-}
-
-TEST_F(SparseIoTest, MatrixMarketSkipsComments) {
-  const auto path = dir_ / "comments.mtx";
-  std::ofstream os(path);
-  os << "%%MatrixMarket matrix coordinate real general\n";
-  os << "% a comment line\n";
-  os << "% another\n";
-  os << "2 2 2\n";
-  os << "1 1 1.5\n";
-  os << "2 2 2.5\n";
-  os.close();
-  const Csr loaded = load_matrix_market(path);
-  EXPECT_EQ(loaded.rows(), 2u);
-  EXPECT_EQ(loaded.nnz(), 2u);
-  EXPECT_FLOAT_EQ(loaded.row_values(0)[0], 1.5f);
-}
-
-TEST_F(SparseIoTest, MatrixMarketRejectsMalformed) {
-  const auto bad_header = dir_ / "bad1.mtx";
-  std::ofstream(bad_header) << "hello world\n1 1 0\n";
-  EXPECT_THROW((void)load_matrix_market(bad_header), std::runtime_error);
-
-  const auto bad_entry = dir_ / "bad2.mtx";
-  std::ofstream(bad_entry) << "%%MatrixMarket matrix coordinate real general\n"
-                           << "2 2 1\n"
-                           << "3 1 1.0\n";  // row index out of range
-  EXPECT_THROW((void)load_matrix_market(bad_entry), std::runtime_error);
-
-  const auto bad_size = dir_ / "bad3.mtx";
-  std::ofstream(bad_size) << "%%MatrixMarket matrix coordinate real general\n"
-                          << "0 0 0\n";
-  EXPECT_THROW((void)load_matrix_market(bad_size), std::runtime_error);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // histogram), registry registration + label canonicalisation + type
 // clashes, snapshot determinism, the Prometheus/JSON exposition
 // grammar, the trace recorder (capacity, context propagation, Chrome
-// export), the shared percentile estimators, and a TSan-targeted
+// export), the serving layer's percentile window, and a TSan-targeted
 // stress suite (concurrent instruments + scrapes + a live compaction
 // swap under tracing).
 #include "telemetry/metrics.hpp"
@@ -28,6 +28,7 @@
 #include "telemetry/trace.hpp"
 #include "util/percentile.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace topk::telemetry {
 namespace {
@@ -151,11 +152,17 @@ TEST(TelemetryMetricsTest, SnapshotIsSortedAndAdoptsFirstHelp) {
 
 // ---- exposition ----------------------------------------------------------
 
+std::string prometheus_text(const MetricsRegistry& reg) {
+  std::ostringstream out;
+  write_prometheus(out, reg.snapshot());
+  return out.str();
+}
+
 TEST(TelemetryExpositionTest, PrometheusScalarGrammar) {
   MetricsRegistry reg;
   reg.counter("topk_q_total", {{"shard", "0"}}, "Queries.").add(3);
   reg.gauge("topk_depth", {}, "Queue depth.").set(2.0);
-  const std::string text = to_prometheus(reg.snapshot());
+  const std::string text = prometheus_text(reg);
   EXPECT_NE(text.find("# HELP topk_depth Queue depth.\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE topk_depth gauge\n"), std::string::npos);
   EXPECT_NE(text.find("topk_depth 2\n"), std::string::npos);
@@ -169,7 +176,7 @@ TEST(TelemetryExpositionTest, PrometheusHistogramIsCumulative) {
   hist.observe(0.25);
   hist.observe(0.75);
   hist.observe(5.0);
-  const std::string text = to_prometheus(reg.snapshot());
+  const std::string text = prometheus_text(reg);
   EXPECT_NE(text.find("topk_lat_seconds_bucket{le=\"0.5\"} 1\n"),
             std::string::npos);
   EXPECT_NE(text.find("topk_lat_seconds_bucket{le=\"1\"} 2\n"),
@@ -184,7 +191,7 @@ TEST(TelemetryExpositionTest, BucketBoundsRenderCompactly) {
   MetricsRegistry reg;
   (void)reg.histogram("topk_ladder_seconds",
                       Histogram::exponential_buckets(1e-5, 2.5, 3));
-  const std::string text = to_prometheus(reg.snapshot());
+  const std::string text = prometheus_text(reg);
   // The ladder's second rung must not pick up max_digits10 noise
   // ("2.5000000000000001e-05") — le values are identity labels.
   EXPECT_NE(text.find("le=\"2.5e-05\""), std::string::npos);
@@ -194,7 +201,7 @@ TEST(TelemetryExpositionTest, BucketBoundsRenderCompactly) {
 TEST(TelemetryExpositionTest, PrometheusEscapesLabelValues) {
   MetricsRegistry reg;
   reg.counter("topk_esc_total", {{"path", "a\\b\"c\nd"}}).inc();
-  const std::string text = to_prometheus(reg.snapshot());
+  const std::string text = prometheus_text(reg);
   EXPECT_NE(text.find("path=\"a\\\\b\\\"c\\nd\""), std::string::npos);
 }
 
@@ -202,7 +209,9 @@ TEST(TelemetryExpositionTest, JsonMirrorsTheSnapshot) {
   MetricsRegistry reg;
   reg.counter("topk_j_total", {{"k", "v"}}).add(7);
   reg.histogram("topk_j_seconds", {1.0}).observe(0.5);
-  const std::string text = to_json(reg.snapshot());
+  std::ostringstream out;
+  write_json(out, reg.snapshot());
+  const std::string text = out.str();
   EXPECT_NE(text.find("\"name\":\"topk_j_total\""), std::string::npos);
   EXPECT_NE(text.find("\"labels\":{\"k\":\"v\"}"), std::string::npos);
   EXPECT_NE(text.find("\"value\":7"), std::string::npos);
@@ -301,7 +310,7 @@ TEST(TelemetryTraceTest, ChromeTraceExportShape) {
   EXPECT_NE(text.find("\"label\":\"a\\\"b\""), std::string::npos);
 }
 
-// ---- percentile estimators ----------------------------------------------
+// ---- percentile window --------------------------------------------------
 
 TEST(PercentileTest, WindowEvictsOldestSamples) {
   util::PercentileWindow window(3);
@@ -310,47 +319,13 @@ TEST(PercentileTest, WindowEvictsOldestSamples) {
   window.add(2.0);
   window.add(3.0);
   window.add(100.0);  // evicts 1.0
-  EXPECT_EQ(window.size(), 3u);
-  EXPECT_DOUBLE_EQ(window.quantile(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(window.quantile(1.0), 100.0);
+  EXPECT_EQ(window.samples().size(), 3u);
+  EXPECT_DOUBLE_EQ(util::quantile(window.samples(), 0.0), 2.0);
+  EXPECT_DOUBLE_EQ(util::quantile(window.samples(), 1.0), 100.0);
   window.clear();
-  EXPECT_TRUE(window.empty());
-  EXPECT_THROW((void)window.quantile(0.5), std::invalid_argument);
-}
-
-TEST(PercentileTest, HistogramQuantileInterpolates) {
-  const std::vector<double> bounds{1.0, 2.0, 4.0};
-  // 10 observations uniformly in (0, 1]; median of the first bucket
-  // interpolates to its middle.
-  const std::vector<std::uint64_t> first_bucket{10, 0, 0, 0};
-  EXPECT_DOUBLE_EQ(util::histogram_quantile(bounds, first_bucket, 0.5), 0.5);
-  // Rank crossing into the second bucket interpolates inside [1, 2].
-  const std::vector<std::uint64_t> split{5, 5, 0, 0};
-  EXPECT_DOUBLE_EQ(util::histogram_quantile(bounds, split, 0.75), 1.5);
-  // Overflow ranks clamp to the largest finite bound.
-  const std::vector<std::uint64_t> overflow{0, 0, 0, 4};
-  EXPECT_DOUBLE_EQ(util::histogram_quantile(bounds, overflow, 0.99), 4.0);
-  // Empty histogram reads 0 by contract.
-  const std::vector<std::uint64_t> empty{0, 0, 0, 0};
-  EXPECT_DOUBLE_EQ(util::histogram_quantile(bounds, empty, 0.5), 0.0);
-  EXPECT_THROW(
-      (void)util::histogram_quantile(bounds, first_bucket, 1.5),
-      std::invalid_argument);
-  const std::vector<std::uint64_t> short_counts{1, 2};
-  EXPECT_THROW(
-      (void)util::histogram_quantile(bounds, short_counts, 0.5),
-      std::invalid_argument);
-}
-
-TEST(PercentileTest, HistogramSnapshotQuantileUsesSharedEstimator) {
-  Histogram hist({1.0, 2.0, 4.0});
-  for (int i = 0; i < 10; ++i) {
-    hist.observe(0.5);
-  }
-  const HistogramSnapshot snap = hist.snapshot();
-  EXPECT_DOUBLE_EQ(
-      snap.quantile(0.5),
-      util::histogram_quantile(snap.bounds, snap.counts, 0.5));
+  EXPECT_TRUE(window.samples().empty());
+  EXPECT_THROW((void)util::quantile(window.samples(), 0.5),
+               std::invalid_argument);
 }
 
 // ---- TSan stress ---------------------------------------------------------

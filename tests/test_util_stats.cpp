@@ -3,28 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <stdexcept>
 
 namespace topk::util {
 namespace {
 
-TEST(RunningStats, MeanVarianceMinMax) {
+TEST(RunningStats, MeanMinMax) {
   RunningStats stats;
   for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
     stats.add(x);
   }
   EXPECT_EQ(stats.count(), 8u);
   EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_NEAR(stats.variance(), 32.0 / 7.0, 1e-12);  // sample variance
   EXPECT_DOUBLE_EQ(stats.min(), 2.0);
   EXPECT_DOUBLE_EQ(stats.max(), 9.0);
 }
 
-TEST(RunningStats, SingleSampleHasZeroVariance) {
+TEST(RunningStats, SingleSampleIsItsOwnMinMaxAndMean) {
   RunningStats stats;
   stats.add(3.5);
-  EXPECT_DOUBLE_EQ(stats.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.stddev(), 0.0);
+  EXPECT_DOUBLE_EQ(stats.mean(), 3.5);
   EXPECT_DOUBLE_EQ(stats.min(), 3.5);
   EXPECT_DOUBLE_EQ(stats.max(), 3.5);
 }
@@ -49,23 +48,7 @@ TEST(Quantile, RejectsBadArguments) {
   EXPECT_THROW((void)quantile({}, 0.5), std::invalid_argument);
   EXPECT_THROW((void)quantile(values, -0.1), std::invalid_argument);
   EXPECT_THROW((void)quantile(values, 1.1), std::invalid_argument);
-}
-
-TEST(Mean, ComputesArithmeticMean) {
-  const std::array<double, 3> values{1.0, 2.0, 6.0};
-  EXPECT_DOUBLE_EQ(mean(values), 3.0);
-  EXPECT_THROW((void)mean({}), std::invalid_argument);
-}
-
-TEST(GeometricMean, ComputesCorrectly) {
-  const std::array<double, 3> values{1.0, 8.0, 27.0};
-  EXPECT_NEAR(geometric_mean(values), 6.0, 1e-12);
-}
-
-TEST(GeometricMean, RejectsNonPositive) {
-  const std::array<double, 2> values{1.0, -1.0};
-  EXPECT_THROW((void)geometric_mean(values), std::invalid_argument);
-  EXPECT_THROW((void)geometric_mean({}), std::invalid_argument);
+  EXPECT_THROW((void)quantile(values, std::nan("")), std::invalid_argument);
 }
 
 }  // namespace
